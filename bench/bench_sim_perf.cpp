@@ -113,11 +113,13 @@ class LegacySimulator {
 // that sim::Event stores it inline. Arg = number of concurrent event chains
 // (steady-state queue occupancy): a loaded host keeps dozens to hundreds of
 // events pending (LFB entries, MC queues, IIO), where the legacy binary heap
-// pays O(log n) sift moves of 56-byte entries per operation and the calendar
-// queue stays O(1).
+// pays O(log n) sift moves of 56-byte entries per operation, while the
+// calendar queue appends a slab node to a one-tick list and re-links it at
+// most twice (far heap -> L1 -> L0) without copying the event.
 
-// Long enough that slot-vector capacity warm-up (a one-time cost in real
-// runs) amortizes away instead of dominating the per-iteration numbers.
+// Long enough that growing each fresh Simulator's node slab to the chain
+// count (a one-time cost in real runs) amortizes away instead of
+// dominating the per-iteration numbers.
 constexpr std::uint64_t kChainEvents = 1000000;
 
 template <typename Sim>
@@ -159,8 +161,8 @@ BENCHMARK(BM_EventKernelLegacyHeap)->Arg(1)->Arg(64)->Arg(256)->Unit(benchmark::
 
 /// Concurrent chains over the real hop-latency spectrum: CHA forwards
 /// (4 ns), core returns (22 ns), IIO processing (250 ns), device latency
-/// (8 us) -- exercises the L1 bucket scatter and the overflow map, not just
-/// the in-window fast path.
+/// (8 us) -- exercises the L1 -> L0 re-link and the far heap beyond the
+/// ~4.2 us horizon, not just the in-window fast path.
 template <typename Sim>
 struct MixedChain {
   Sim* s;
@@ -262,9 +264,10 @@ void BM_McChannelOnly(benchmark::State& state) {
   std::uint64_t allocs = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t deduped = 0;
-  // One stream reused across iterations: the first batch warms the calendar
-  // queue's slot vectors (a one-time cost in real runs), so the measured
-  // iterations report steady-state work -- where allocs/line must be zero.
+  // One stream reused across iterations: the first batch grows the calendar
+  // queue's node slab and far heap (a one-time cost in real runs), so the
+  // measured iterations report steady-state work -- where allocs/line must
+  // be zero.
   McStream s(write_fraction, random_addresses);
   s.pump();
   s.sim.run_until(s.sim.now() + ms(10000));  // runs to idle: batch drained

@@ -5,8 +5,12 @@ Usage:
     scripts/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
                              [--metric auto|real_time|items_per_second]
 
-Benchmarks are matched by name; only names present in both files are
-compared. For each pair the script prints baseline, candidate, and the
+Benchmarks are matched by name. Every baseline benchmark must appear in the
+candidate: a benchmark that was dropped or renamed fails the gate, unless
+the retired list names it with a reason. That list is ``retired.json``
+beside the baseline, a JSON object ``{"retired": {"BM_Name": "why it is
+gone"}}`` (absent file = nothing retired).
+For each pair the script prints baseline, candidate, and the
 speedup (candidate relative to baseline, >1 = faster), preferring
 items_per_second (higher is better) and falling back to real_time (lower
 is better). Exits non-zero if any benchmark regressed by more than the
@@ -22,6 +26,7 @@ skipped; raw repetition entries are averaged per name. Stdlib only.
 
 import argparse
 import json
+import os
 import sys
 
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_min", "_max")
@@ -48,6 +53,20 @@ def load(path):
     return acc
 
 
+def load_retired(path):
+    """name -> reason; a missing file is an empty list."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except FileNotFoundError:
+        return {}
+    retired = doc.get("retired", {})
+    blank = [n for n, why in retired.items() if not str(why).strip()]
+    if blank:
+        raise ValueError(f"{path}: retired benchmark(s) without a reason: {', '.join(blank)}")
+    return retired
+
+
 def pick_metric(requested, base, cand):
     if requested != "auto":
         return requested if requested in base and requested in cand else None
@@ -69,6 +88,13 @@ def main():
 
     base = load(args.baseline)
     cand = load(args.candidate)
+    retired_path = os.path.join(os.path.dirname(os.path.abspath(args.baseline)),
+                                "retired.json")
+    try:
+        retired = load_retired(retired_path)
+    except (OSError, ValueError) as e:
+        print(f"bench_compare: {e}", file=sys.stderr)
+        return 2
     common = [n for n in base if n in cand]
     if not common:
         print("bench_compare: no common benchmark names between the two files",
@@ -96,16 +122,23 @@ def main():
         print(f"{name:<{width}}  {b:>14.4g}  {c:>14.4g}  {speedup:>7.2f}x  {metric}{flag}")
 
     only_base = sorted(set(base) - set(cand))
-    if only_base:
-        print(f"note: {len(only_base)} benchmark(s) only in baseline (new code "
-              f"may have renamed them): {', '.join(only_base[:5])}"
-              + ("..." if len(only_base) > 5 else ""))
+    missing = [n for n in only_base if n not in retired]
+    for name in only_base:
+        if name in retired:
+            print(f"retired: {name} ({retired[name]})")
+    if missing:
+        print(f"\nFAIL: {len(missing)} baseline benchmark(s) missing from the "
+              f"candidate and not retired (list them in {retired_path} with a "
+              "reason if they were removed on purpose):", file=sys.stderr)
+        for name in missing:
+            print(f"  {name}", file=sys.stderr)
 
     if regressions:
         print(f"\nFAIL: {len(regressions)} benchmark(s) regressed more than "
               f"{args.threshold:.0%}:", file=sys.stderr)
         for name, metric, speedup in regressions:
             print(f"  {name}: {speedup:.2f}x ({metric})", file=sys.stderr)
+    if regressions or missing:
         return 1
     print(f"\nOK: no benchmark regressed more than {args.threshold:.0%} "
           f"({len(common)} compared)")

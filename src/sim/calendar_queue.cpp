@@ -1,82 +1,22 @@
 #include "sim/calendar_queue.hpp"
 
-#include <bit>
-
-#include "common/check.hpp"
+#include <algorithm>
 
 namespace hostnet::sim {
 
-namespace {
-
-/// First set bit at index >= from in `bits` (no wraparound), or npos.
-template <std::size_t N>
-std::size_t find_bit_ge(const std::array<std::uint64_t, N>& bits, std::size_t from) {
-  constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-  std::size_t word = from / 64;
-  if (word >= N) return kNpos;
-  std::uint64_t w = bits[word] & (~std::uint64_t{0} << (from % 64));
-  for (;;) {
-    if (w != 0) return word * 64 + static_cast<std::size_t>(std::countr_zero(w));
-    if (++word == N) return kNpos;
-    w = bits[word];
-  }
-}
-
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-}  // namespace
-
-void CalendarQueue::push(Tick at, Event ev) {
-  assert(at >= win_start_ && "cannot schedule before the current window");
-  // cursor_ is the last popped tick: a push behind it could never fire and
-  // would silently break same-tick FIFO determinism.
-  HOSTNET_INVARIANT(at >= cursor_ && at >= win_start_,
-                    "calendar-queue monotonicity: push at tick %lld behind "
-                    "cursor %lld (window start %lld)",
-                    static_cast<long long>(at), static_cast<long long>(cursor_),
-                    static_cast<long long>(win_start_));
-  ++size_;
-  if (at < win_start_ + Tick(kNumSlots)) {
-    // Hot path: within the current window -- append to the one-tick slot.
-    Slot& s = slots_[static_cast<std::size_t>(at & kSlotMask)];
-    if (s.events.empty())
-      slot_bits_[static_cast<std::size_t>(at & kSlotMask) / 64] |=
-          std::uint64_t{1} << (static_cast<std::size_t>(at & kSlotMask) % 64);
-    s.events.push_back(std::move(ev));
-    return;
-  }
-  if (at < win_start_ + kHorizon) {
-    // If the overflow map still holds this exact tick (scheduled when it was
-    // beyond the horizon), append there so the tick's FIFO stays whole.
-    if (!overflow_.empty() && overflow_.begin()->first <= at) {
-      auto it = overflow_.find(at);
-      if (it != overflow_.end()) {
-        it->second.push_back(std::move(ev));
-        return;
-      }
-    }
-    const std::size_t b = bucket_index(at);
-    if (buckets_[b].empty()) bucket_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
-    buckets_[b].push_back(TimedEvent{at, std::move(ev)});
-    return;
-  }
-  overflow_[at].push_back(std::move(ev));
-}
-
-Tick CalendarQueue::scan_l0(Tick from) const {
-  if (from >= win_start_ + Tick(kNumSlots)) return kNoEvent;
-  const std::size_t s =
-      find_bit_ge(slot_bits_, static_cast<std::size_t>(from < win_start_ ? 0 : from - win_start_));
-  return s == kNpos ? kNoEvent : win_start_ + Tick(s);
+void CalendarQueue::push_far(Tick at, NodeIndex n) {
+  far_.push_back(FarEntry{at, far_seq_++, n});
+  std::push_heap(far_.begin(), far_.end(), far_later);
 }
 
 Tick CalendarQueue::next_bucket_base() const {
   const std::size_t cb = bucket_index(win_start_);
-  // The current window's bucket is always empty (scattered on advance), so a
-  // plain two-segment scan over the ring cannot return a stale hit at cb.
-  std::size_t b = find_bit_ge(bucket_bits_, cb + 1);
-  if (b == kNpos) b = find_bit_ge(bucket_bits_, 0);
-  if (b == kNpos) return kNoEvent;
+  // The current window's bucket is always empty (re-linked on advance, and
+  // in-window pushes go to L0), so a two-segment scan over the ring cannot
+  // return a stale hit at cb.
+  std::size_t b = bucket_bits_.find_ge(cb + 1);
+  if (b == decltype(bucket_bits_)::kNone) b = bucket_bits_.find_ge(0);
+  if (b == decltype(bucket_bits_)::kNone) return kNoEvent;
   const std::size_t dist = (b - cb) & (kNumBuckets - 1);
   return win_start_ + Tick(dist) * Tick(kNumSlots);
 }
@@ -85,49 +25,43 @@ void CalendarQueue::advance_to(Tick target) {
   win_start_ = target & ~kSlotMask;
   cursor_ = win_start_;
   const std::size_t cb = bucket_index(win_start_);
-  auto& bucket = buckets_[cb];
-  if (!bucket.empty()) {
-    bucket_bits_[cb / 64] &= ~(std::uint64_t{1} << (cb % 64));
-    for (TimedEvent& te : bucket) {
-      assert(te.at >= win_start_ && te.at < win_start_ + Tick(kNumSlots));
-      const std::size_t slot = static_cast<std::size_t>(te.at & kSlotMask);
-      Slot& s = slots_[slot];
-      if (s.events.empty()) slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-      s.events.push_back(std::move(te.fn));
+  if (bucket_bits_.test(cb)) {
+    bucket_bits_.reset(cb);
+    NodeIndex n = buckets_[cb].head;
+    buckets_[cb].head = kNil;
+    while (n != kNil) {
+      Node& node = nodes_[n];
+      const NodeIndex next = node.next;
+      assert(node.at >= win_start_ && node.at < win_start_ + Tick(kNumSlots));
+      node.next = kNil;
+      const std::size_t slot = slot_index(node.at);
+      if (append(slots_[slot], n)) slot_bits_.set(slot);
+      n = next;
     }
-    bucket.clear();
   }
-  // Overflow ticks that now fall inside the window move into L0. A tick's
-  // FIFO lives either here or in the L1 bucket, never both, so migration
-  // order between the two cannot reorder same-tick events.
-  while (!overflow_.empty() && overflow_.begin()->first < win_start_ + Tick(kNumSlots)) {
-    auto it = overflow_.begin();
-    const std::size_t slot = static_cast<std::size_t>(it->first & kSlotMask);
-    Slot& s = slots_[slot];
-    if (s.events.empty()) slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    for (Event& e : it->second) s.events.push_back(std::move(e));
-    overflow_.erase(it);
+  // Far entries the new horizon reaches move down, earliest (tick, seq)
+  // first. None of their ticks can already sit in L1 or L0 (they were
+  // beyond the horizon until now), and the L1 buckets they land in lie
+  // between the old and the new window, which the advance left empty.
+  const Tick horizon_end = win_start_ + kHorizon;
+  while (!far_.empty() && far_.front().at < horizon_end) {
+    const FarEntry e = far_.front();
+    std::pop_heap(far_.begin(), far_.end(), far_later);
+    far_.pop_back();
+    file(e.at, e.node);
   }
 }
 
-Tick CalendarQueue::next_tick(Tick bound) {
-  if (size_ == 0) return kNoEvent;
-  // Fast path: the slot at the cursor tick still holds unpopped events
-  // (common when many events share a tick), so no bitmap scan is needed.
-  // Slots hold exactly one tick's events, so a non-drained cursor slot can
-  // only mean more events at cursor_ itself.
-  const Slot& cur = slots_[static_cast<std::size_t>(cursor_ & kSlotMask)];
-  if (cur.head < cur.events.size()) return cursor_;
+Tick CalendarQueue::next_tick_advancing(Tick bound) {
   for (;;) {
-    const Tick t = scan_l0(cursor_ > win_start_ ? cursor_ : win_start_);
-    if (t != kNoEvent) return t;
-    // Window drained: jump to the earliest populated window (L1 or overflow).
+    // Window drained: jump to the earliest populated window. Every L1 tick
+    // is below the horizon and every far tick at or beyond it, so the far
+    // heap only matters once L1 is empty.
     Tick target = next_bucket_base();
-    if (!overflow_.empty()) {
-      const Tick k = overflow_.begin()->first & ~kSlotMask;
-      if (target == kNoEvent || k < target) target = k;
+    if (target == kNoEvent) {
+      assert(!far_.empty() && "size_ > 0 but no events found");
+      target = far_.front().at & ~kSlotMask;
     }
-    assert(target != kNoEvent && "size_ > 0 but no events found");
     // Every pending event is at >= target. If that is past the caller's
     // horizon, report "nothing to run" WITHOUT advancing: the caller's clock
     // stops at `bound`, and a committed jump would strand later pushes in
@@ -135,90 +69,81 @@ Tick CalendarQueue::next_tick(Tick bound) {
     // window's slot and fire late).
     if (target > bound) return kNoEvent;
     advance_to(target);
+    const std::size_t s = slot_bits_.find_ge(0);
+    if (s != decltype(slot_bits_)::kNone) return win_start_ + Tick(s);
   }
 }
 
 void CalendarQueue::save_state(Snapshot& out) const {
   out.win_start = win_start_;
   out.cursor = cursor_;
-  out.l0.clear();
-  out.l1.clear();
-  out.overflow.clear();
-  // win_start_ is kNumSlots-aligned (advance_to masks it), so slot index i
-  // holds exactly tick win_start_ + i and index order is tick order.
+  out.items.clear();
+  const auto emit = [&](NodeIndex n) {
+    const Node& node = nodes_[n];
+    assert(node.ev.clonable() && "pending event not checkpointable");
+    out.items.push_back(Snapshot::Item{node.at, node.ev.clone()});
+  };
+  // L0: win_start_ is kNumSlots-aligned, so slot index order is tick order.
   assert((win_start_ & kSlotMask) == 0);
-  for (std::size_t i = 0; i < kNumSlots; ++i) {
-    const Slot& s = slots_[i];
-    for (std::size_t j = s.head; j < s.events.size(); ++j) {
-      assert(s.events[j].clonable() && "pending event not checkpointable");
-      out.l0.push_back(Snapshot::Item{win_start_ + Tick(i), s.events[j].clone()});
+  for (const List& l : slots_)
+    for (NodeIndex n = l.head; n != kNil; n = nodes_[n].next) emit(n);
+  // L1: ring order from the bucket after the current window's is window
+  // order. A bucket's list is in push order; an insertion sort by tick
+  // (stable, allocation-free, and buckets are short) turns it into firing
+  // order.
+  const std::size_t cb = bucket_index(win_start_);
+  for (std::size_t d = 1; d < kNumBuckets; ++d) {
+    const List& l = buckets_[(cb + d) & (kNumBuckets - 1)];
+    if (l.head == kNil) continue;
+    const std::size_t first = out.items.size();
+    for (NodeIndex n = l.head; n != kNil; n = nodes_[n].next) emit(n);
+    for (std::size_t i = first + 1; i < out.items.size(); ++i) {
+      if (out.items[i].at >= out.items[i - 1].at) continue;
+      Snapshot::Item moving = std::move(out.items[i]);
+      std::size_t j = i;
+      for (; j > first && out.items[j - 1].at > moving.at; --j)
+        out.items[j] = std::move(out.items[j - 1]);
+      out.items[j] = std::move(moving);
     }
   }
-  for (std::size_t b = 0; b < kNumBuckets; ++b)
-    for (const TimedEvent& te : buckets_[b]) {
-      assert(te.fn.clonable() && "pending event not checkpointable");
-      out.l1.push_back(Snapshot::Item{te.at, te.fn.clone()});
-    }
-  for (const auto& [at, events] : overflow_)
-    for (const Event& e : events) {
-      assert(e.clonable() && "pending event not checkpointable");
-      out.overflow.push_back(Snapshot::Item{at, e.clone()});
-    }
+  // Far: (tick, seq) order. Seqs are unique, so the sort is a total order;
+  // the scratch copy keeps its capacity, so a warm save allocates nothing.
+  far_order_.assign(far_.begin(), far_.end());
+  std::sort(far_order_.begin(), far_order_.end(),
+            [](const FarEntry& a, const FarEntry& b) { return far_later(b, a); });
+  for (const FarEntry& e : far_order_) emit(e.node);
+  far_order_.clear();
 }
 
 void CalendarQueue::load_state(const Snapshot& s) {
-  for (Slot& slot : slots_) {
-    slot.events.clear();  // keeps capacity -- restore allocates nothing once warm
-    slot.head = 0;
-  }
-  for (auto& b : buckets_) b.clear();
+  // Empty every level in place: the occupancy bits name the lists to reset,
+  // and the slab and the far heap keep their capacity, so a warm restore
+  // allocates nothing.
+  for (std::size_t i = slot_bits_.find_ge(0); i != decltype(slot_bits_)::kNone;
+       i = slot_bits_.find_ge(i + 1))
+    slots_[i] = List{};
+  for (std::size_t b = bucket_bits_.find_ge(0); b != decltype(bucket_bits_)::kNone;
+       b = bucket_bits_.find_ge(b + 1))
+    buckets_[b] = List{};
   slot_bits_ = {};
   bucket_bits_ = {};
-  overflow_.clear();
+  nodes_.clear();
+  free_ = kNil;
+  far_.clear();
+  far_seq_ = 0;
+  size_ = 0;
   win_start_ = s.win_start;
   cursor_ = s.cursor;
-  size_ = s.l0.size() + s.l1.size() + s.overflow.size();
-  for (const Snapshot::Item& it : s.l0) {
-    assert(it.at >= win_start_ && it.at < win_start_ + Tick(kNumSlots));
-    const auto slot = static_cast<std::size_t>(it.at & kSlotMask);
-    slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    slots_[slot].events.push_back(it.ev.clone());
-  }
-  for (const Snapshot::Item& it : s.l1) {
-    const std::size_t b = bucket_index(it.at);
-    bucket_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
-    buckets_[b].push_back(TimedEvent{it.at, it.ev.clone()});
-  }
-  for (const Snapshot::Item& it : s.overflow) overflow_[it.at].push_back(it.ev.clone());
+  for (const Snapshot::Item& it : s.items) push(it.at, it.ev.clone());
 }
 
 bool CalendarQueue::audit_identical(const Snapshot& a, const Snapshot& b) {
-  if (a.win_start != b.win_start || a.cursor != b.cursor) return false;
-  const auto levels_match = [](const std::vector<Snapshot::Item>& x,
-                               const std::vector<Snapshot::Item>& y) {
-    if (x.size() != y.size()) return false;
-    for (std::size_t i = 0; i < x.size(); ++i)
-      if (x[i].at != y[i].at || !x[i].ev.audit_identical(y[i].ev)) return false;
-    return true;
-  };
-  return levels_match(a.l0, b.l0) && levels_match(a.l1, b.l1) &&
-         levels_match(a.overflow, b.overflow);
-}
-
-Event CalendarQueue::pop_at(Tick at) {
-  assert(at >= win_start_ && at < win_start_ + Tick(kNumSlots));
-  Slot& s = slots_[static_cast<std::size_t>(at & kSlotMask)];
-  assert(s.head < s.events.size());
-  Event ev = std::move(s.events[s.head++]);
-  if (s.head == s.events.size()) {
-    s.events.clear();  // keeps capacity for the next lap of the window
-    s.head = 0;
-    slot_bits_[static_cast<std::size_t>(at & kSlotMask) / 64] &=
-        ~(std::uint64_t{1} << (static_cast<std::size_t>(at & kSlotMask) % 64));
-  }
-  --size_;
-  cursor_ = at;
-  return ev;
+  if (a.win_start != b.win_start || a.cursor != b.cursor || a.items.size() != b.items.size())
+    return false;
+  for (std::size_t i = 0; i < a.items.size(); ++i)
+    if (a.items[i].at != b.items[i].at || !a.items[i].ev.audit_identical(b.items[i].ev))
+      return false;
+  return true;
 }
 
 }  // namespace hostnet::sim

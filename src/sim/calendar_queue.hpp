@@ -1,36 +1,44 @@
 // Calendar/bucket event queue for the simulation kernel.
 //
-// Replaces the binary heap of (time, seq, std::function) entries: events are
-// bucketed by Tick, and every bucket is a FIFO, so two events scheduled for
-// the same tick fire in schedule order *by construction* -- no sequence
-// counter, no comparator, and determinism cannot be broken by a queue
-// rebalance.
+// Events are bucketed by Tick, and every bucket is a FIFO, so two events
+// scheduled for the same tick fire in schedule order *by construction* --
+// no comparator decides same-tick order, and determinism cannot be broken
+// by a queue rebalance.
 //
-// Layout (bucket widths documented in DESIGN.md "Event kernel"):
-//   L0  -- 4096 one-tick slots covering the current 4096-tick (~4 ns,
-//          picosecond clock) window. schedule/fire within the window is an
-//          append / indexed pop: O(1), zero allocations once slot vectors
-//          have warmed up. A bitmap over the slots finds the next occupied
-//          slot with word-sized scans.
-//   L1  -- 4096 buckets of 4096 ticks each (~16.8 us horizon). When the
-//          clock enters a bucket's window the bucket is scattered into L0 in
-//          insertion order, which preserves per-tick FIFO.
-//   Map -- ticks beyond the ~16.8 us horizon live in an exact-tick ordered
-//          map (rare: device latencies, protocol RTT timers, control loops).
+// Storage: each pending event lives in exactly one node of a free-listed
+// slab (`Event` + tick + next index). Every level below holds intrusive
+// FIFO lists of node indices, so moving an event between levels re-links
+// an index and never copies the event: its bytes are written once on push
+// and read once on pop.
 //
-// Same-tick FIFO across the three levels is maintained by two rules: (a) a
-// level migrates into the one below *before* the clock can reach any of its
-// ticks, and earlier-scheduled events land first; (b) a push that targets a
-// tick still held by the overflow map appends to that map entry instead of
-// the L1 bucket, so one tick's FIFO never straddles two structures.
+// Layout (sized from the schedule-ahead distribution in DESIGN.md 4a):
+//   L0  -- 1024 one-tick slots covering the current 1024-tick (~1 ns,
+//          picosecond clock) window. A two-level occupancy bitmap finds
+//          the next occupied slot in two word scans.
+//   L1  -- 4096 buckets of 1024 ticks each (~4.2 us horizon). When the
+//          clock enters a bucket's window, its list is re-linked into the
+//          L0 slots in insertion order, which preserves per-tick FIFO.
+//   Far -- ticks beyond the horizon wait in a (tick, seq) min-heap (rare:
+//          device latencies, protocol timers, control loops). On every
+//          window advance, entries that enter the horizon move down.
+//
+// Same-tick FIFO across the three levels rests on one invariant: every far
+// entry is at or beyond win_start + kHorizon. A push lands in the far heap
+// only while its tick is beyond the horizon, and the advance that brings
+// the tick inside migrates all of that tick's far entries (in seq order)
+// before any later push can target it in L1 or L0. The same holds one
+// level down: an L1 bucket is re-linked into L0 before the clock or any
+// push can reach its window. So one tick's FIFO is always appended in
+// schedule order, whatever path each event took.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/snapshot.hpp"
 #include "common/units.hpp"
 #include "sim/event.hpp"
@@ -39,23 +47,23 @@ namespace hostnet::sim {
 
 class CalendarQueue {
  public:
-  static constexpr int kSlotBits = 12;
+  static constexpr int kSlotBits = 10;
   static constexpr std::size_t kNumSlots = std::size_t{1} << kSlotBits;  ///< L0 window
   static constexpr Tick kSlotMask = Tick(kNumSlots) - 1;
   static constexpr int kBucketBits = 12;
   static constexpr std::size_t kNumBuckets = std::size_t{1} << kBucketBits;
-  /// Ticks at or beyond win_start + kHorizon go to the overflow map.
+  /// Ticks at or beyond win_start + kHorizon go to the far heap.
   static constexpr Tick kHorizon = Tick(1) << (kSlotBits + kBucketBits);
   static constexpr Tick kNoEvent = -1;
   /// Default next_tick() bound: never refuse a window advance.
   static constexpr Tick kNoBound = ~(Tick(1) << 63);
 
   /// Append `ev` to tick `at`'s FIFO. `at` must be >= the last popped tick.
-  void push(Tick at, Event ev);
+  void push(Tick at, Event&& ev);
 
   /// Tick of the earliest pending event, or kNoEvent when empty or when
   /// every pending event is provably later than `bound`. Advances the L0
-  /// window (an order-preserving migration) when the current window is
+  /// window (an order-preserving re-link) when the current window is
   /// drained -- but never past `bound`: committing the window beyond the
   /// caller's horizon would mis-file later pushes that target ticks between
   /// the caller's clock and the jumped-to window (they would land in a slot
@@ -73,15 +81,12 @@ class CalendarQueue {
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   //
-  // The snapshot captures the queue's *logical* content -- (tick, event)
-  // pairs per level, in firing order -- not its physical layout: L0 slots
-  // are head-normalized (already-popped prefixes are dropped), and
-  // load_state() rebuilds slots, buckets, overflow map and both bitmaps
-  // directly. A push-replay restore would be wrong here: rule (b) above
-  // files a within-horizon push into the overflow map when that map still
-  // holds the tick, so replaying events through push() could re-file a
-  // saved overflow tick into an L1 bucket and break the "one tick's FIFO
-  // never straddles two structures" invariant the next advance relies on.
+  // The snapshot captures the queue's *logical* content -- every pending
+  // (tick, event) pair in firing order -- not its physical layout.
+  // load_state() re-pushes the items in that order onto the saved window:
+  // events of one tick arrive in their FIFO order, and the level each one
+  // lands in follows from its tick alone, so the restored queue fires
+  // exactly as the saved one would, and re-saving it reproduces the items.
   struct Snapshot {
     struct Item {
       Tick at = 0;
@@ -89,69 +94,203 @@ class CalendarQueue {
     };
     Tick win_start = 0;
     Tick cursor = 0;
-    std::vector<Item> l0;        ///< current-window events, tick then FIFO order
-    std::vector<Item> l1;        ///< L1 events, bucket-index then insertion order
-    std::vector<Item> overflow;  ///< beyond-horizon events, map then FIFO order
+    std::vector<Item> items;  ///< every pending event, in firing order
   };
 
-  /// Copy the full pending-event state into `out` (vectors are reused, so a
-  /// recycled Snapshot allocates nothing once warmed). Every pending event
-  /// must be clonable() -- asserted, since a non-clonable event would be
-  /// silently lost on restore.
+  /// Copy the full pending-event state into `out` (the vector is reused, so
+  /// a recycled Snapshot allocates nothing once warmed). Every pending
+  /// event must be clonable() -- asserted, since a non-clonable event would
+  /// be silently lost on restore.
   void save_state(Snapshot& out) const;
 
-  /// Restore the state captured by save_state(). Clears in place (slot and
-  /// bucket vector capacities are retained) and rebuilds the level
-  /// structures and bitmaps directly.
+  /// Restore the state captured by save_state(). Clears in place (the slab
+  /// and the far heap keep their capacity) and re-pushes the items.
   void load_state(const Snapshot& s);
 
   /// Checkpoint-audit equality of two snapshots: identical tick sequences
-  /// per level and Event::audit_identical() closures. Powers the
-  /// HOSTNET_CHECKED restore-then-resave audit in HostSystem::restore().
+  /// and Event::audit_identical() closures. Powers the HOSTNET_CHECKED
+  /// restore-then-resave audit in HostSystem::restore().
   static bool audit_identical(const Snapshot& a, const Snapshot& b);
 
  private:
-  struct Slot {
-    std::vector<Event> events;  ///< FIFO; capacity is retained across windows
-    std::size_t head = 0;       ///< next un-fired event
+  using NodeIndex = std::uint32_t;
+  static constexpr NodeIndex kNil = ~NodeIndex{0};
+
+  struct Node {
+    Event ev;
+    Tick at = 0;
+    NodeIndex next = kNil;  ///< next node of the same list (or of the free list)
   };
-  struct TimedEvent {
+  /// Intrusive FIFO of nodes; `tail` is meaningful only while head != kNil.
+  struct List {
+    NodeIndex head = kNil;
+    NodeIndex tail = kNil;
+  };
+  struct FarEntry {
     Tick at;
-    Event fn;
+    std::uint64_t seq;  ///< push order among far entries: same-tick FIFO
+    NodeIndex node;
+  };
+  /// Heap comparator: std::push_heap keeps the *greatest* on top, so
+  /// "greater" puts the earliest (tick, seq) there.
+  static bool far_later(const FarEntry& a, const FarEntry& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+
+  /// Occupancy bitmap over N lists with a one-word summary of the non-zero
+  /// words, so the next set bit is found in two word scans.
+  template <std::size_t N>
+  class Bits {
+    static_assert(N % 64 == 0 && N / 64 <= 64, "summary word covers at most 64 words");
+
+   public:
+    static constexpr std::size_t kNone = N;
+    bool test(std::size_t i) const { return (words_[i / 64] >> (i % 64)) & 1; }
+    void set(std::size_t i) {
+      words_[i / 64] |= std::uint64_t{1} << (i % 64);
+      summary_ |= std::uint64_t{1} << (i / 64);
+    }
+    void reset(std::size_t i) {
+      if ((words_[i / 64] &= ~(std::uint64_t{1} << (i % 64))) == 0)
+        summary_ &= ~(std::uint64_t{1} << (i / 64));
+    }
+    /// First set bit at index >= from (no wraparound), or kNone.
+    std::size_t find_ge(std::size_t from) const {
+      if (from >= N) return kNone;
+      std::size_t w = from / 64;
+      const std::uint64_t m = words_[w] & (~std::uint64_t{0} << (from % 64));
+      if (m != 0) return w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+      const std::uint64_t s = w + 1 < 64 ? summary_ & (~std::uint64_t{0} << (w + 1)) : 0;
+      if (s == 0) return kNone;
+      w = static_cast<std::size_t>(std::countr_zero(s));
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(words_[w]));
+    }
+
+   private:
+    std::array<std::uint64_t, N / 64> words_{};
+    std::uint64_t summary_ = 0;
   };
 
+  static std::size_t slot_index(Tick at) { return static_cast<std::size_t>(at & kSlotMask); }
   static std::size_t bucket_index(Tick at) {
     return static_cast<std::size_t>(at >> kSlotBits) & (kNumBuckets - 1);
   }
 
-  /// First occupied L0 slot at tick >= from (within the current window), or
-  /// kNoEvent.
-  Tick scan_l0(Tick from) const;
+  /// Append node `n` (whose next is kNil) to list `l`; true if `l` was empty.
+  bool append(List& l, NodeIndex n) {
+    const bool was_empty = l.head == kNil;
+    if (was_empty)
+      l.head = n;
+    else
+      nodes_[l.tail].next = n;
+    l.tail = n;
+    return was_empty;
+  }
+
+  /// File node `n` (tick `at` >= win_start_) into the level its tick
+  /// belongs to.
+  void file(Tick at, NodeIndex n) {
+    if (at < win_start_ + Tick(kNumSlots)) {
+      // Hot path: within the current window -- append to the one-tick slot.
+      const std::size_t slot = slot_index(at);
+      if (append(slots_[slot], n)) slot_bits_.set(slot);
+    } else if (at < win_start_ + kHorizon) {
+      const std::size_t b = bucket_index(at);
+      if (append(buckets_[b], n)) bucket_bits_.set(b);
+    } else {
+      push_far(at, n);
+    }
+  }
+
+  /// Beyond the horizon: push onto the far heap (the cold path, out of line).
+  void push_far(Tick at, NodeIndex n);
+
+  /// next_tick() once the current window holds nothing at or after the
+  /// cursor: advance to the earliest populated window, bounded by `bound`.
+  Tick next_tick_advancing(Tick bound);
 
   /// First occupied L1 bucket after the current window's bucket (ring
   /// order), as an absolute window-base tick; kNoEvent if L1 is empty.
   Tick next_bucket_base() const;
 
-  /// Move the window to the one containing `target`: scatter that window's
-  /// L1 bucket into L0 (insertion order), then migrate overflow ticks that
-  /// now fall inside the window.
+  /// Move the window to the one containing `target`: re-link that window's
+  /// L1 bucket into L0 (insertion order), then migrate the far entries that
+  /// the new horizon reaches.
   void advance_to(Tick target);
 
   Tick win_start_ = 0;  ///< aligned to kNumSlots
   Tick cursor_ = 0;     ///< lower bound for the earliest pending tick
-  // hostnet-audit: skip(size_, derived event count; rebuilt on restore from the saved slots, buckets and overflow)
+  // hostnet-audit: skip(size_, derived event count; load_state recounts it while re-pushing the items)
   std::size_t size_ = 0;
-  std::array<Slot, kNumSlots> slots_;
-  std::array<std::vector<TimedEvent>, kNumBuckets> buckets_;
-  // hostnet-audit: skip(slot_bits_, derived occupancy bitmap; rebuilt on restore from the saved slots)
-  std::array<std::uint64_t, kNumSlots / 64> slot_bits_{};
-  // hostnet-audit: skip(bucket_bits_, derived occupancy bitmap; rebuilt on restore from the saved buckets)
-  std::array<std::uint64_t, kNumBuckets / 64> bucket_bits_{};
-  // Beyond-horizon ticks are rare (device latencies, protocol timers) and
-  // never on the per-event path, so an exact-tick ordered map is fine here.
-  // hostnet-lint: allow(hot-alloc)
-  std::map<Tick, std::vector<Event>> overflow_;
+  std::vector<Node> nodes_;  ///< the slab: every pending event, once
+  // hostnet-audit: skip(free_, derived free list over the slab; load_state empties the slab, so it starts empty)
+  NodeIndex free_ = kNil;
+  std::array<List, kNumSlots> slots_;
+  std::array<List, kNumBuckets> buckets_;
+  // hostnet-audit: skip(slot_bits_, derived occupancy of slots_; load_state clears it and the re-pushes set it)
+  Bits<kNumSlots> slot_bits_;
+  // hostnet-audit: skip(bucket_bits_, derived occupancy of buckets_; load_state clears it and the re-pushes set it)
+  Bits<kNumBuckets> bucket_bits_;
+  std::vector<FarEntry> far_;  ///< beyond-horizon nodes, a far_later() heap
+  // hostnet-audit: skip(far_seq_, derived push counter; only the relative order of far entries matters, and the re-push keeps it)
+  std::uint64_t far_seq_ = 0;
+  // hostnet-audit: skip(far_order_, save_state scratch for sorting the far heap; empty between calls, kept only for its capacity)
+  mutable std::vector<FarEntry> far_order_;
 };
+
+// The per-event operations are inline: the kernel's run loop and every
+// component's schedule call compile down to a few list and bitmap updates.
+
+inline void CalendarQueue::push(Tick at, Event&& ev) {
+  assert(at >= win_start_ && "cannot schedule before the current window");
+  // cursor_ is the last popped tick: a push behind it could never fire and
+  // would silently break same-tick FIFO determinism.
+  HOSTNET_INVARIANT(at >= cursor_ && at >= win_start_,
+                    "calendar-queue monotonicity: push at tick %lld behind "
+                    "cursor %lld (window start %lld)",
+                    static_cast<long long>(at), static_cast<long long>(cursor_),
+                    static_cast<long long>(win_start_));
+  ++size_;
+  NodeIndex n = free_;
+  if (n != kNil) {
+    Node& node = nodes_[n];
+    free_ = node.next;
+    node.ev = std::move(ev);
+    node.at = at;
+    node.next = kNil;
+  } else {
+    n = static_cast<NodeIndex>(nodes_.size());
+    assert(n != kNil && "calendar-queue slab index space exhausted");
+    nodes_.push_back(Node{std::move(ev), at, kNil});
+  }
+  file(at, n);
+}
+
+inline Tick CalendarQueue::next_tick(Tick bound) {
+  if (size_ == 0) return kNoEvent;
+  // Slots hold exactly one tick's events and every L0 tick is >= cursor_,
+  // so the first occupied slot at or after the cursor is the answer.
+  const std::size_t s = slot_bits_.find_ge(slot_index(cursor_));
+  if (s != decltype(slot_bits_)::kNone) return win_start_ + Tick(s);
+  return next_tick_advancing(bound);
+}
+
+inline Event CalendarQueue::pop_at(Tick at) {
+  assert(at >= win_start_ && at < win_start_ + Tick(kNumSlots));
+  const std::size_t slot = slot_index(at);
+  List& l = slots_[slot];
+  assert(l.head != kNil);
+  const NodeIndex n = l.head;
+  Node& node = nodes_[n];
+  l.head = node.next;
+  if (l.head == kNil) slot_bits_.reset(slot);
+  Event ev = std::move(node.ev);
+  node.next = free_;
+  free_ = n;
+  --size_;
+  cursor_ = at;
+  return ev;
+}
 
 HOSTNET_SNAPSHOT_COVERS(CalendarQueue);
 

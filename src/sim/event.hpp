@@ -9,10 +9,10 @@
 //
 // Inline storage additionally requires the callable to be trivially
 // copyable. That makes a moved Event a raw 64-byte memcpy with no indirect
-// call -- moves happen 2-3x per event (into the slot vector, out on pop) so
-// this is the difference between ~1 and ~4 indirect calls per simulated
-// event. Hot-path closures capture only pointers, Requests and Ticks and
-// are all trivially copyable; anything else (owning captures, large or
+// call -- an event moves into the calendar queue's slab on push and out of
+// it on pop, so this saves two indirect calls per simulated event.
+// Hot-path closures capture only pointers, Requests and Ticks and are all
+// trivially copyable; anything else (owning captures, large or
 // over-aligned callables) transparently falls back to the heap, where the
 // stored pointer is itself trivially copyable and the same memcpy move
 // applies.

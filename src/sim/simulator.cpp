@@ -1,20 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-#include <utility>
-
-#include "common/check.hpp"
-
 namespace hostnet::sim {
-
-void Simulator::schedule_at(Tick at, Event fn) {
-  assert(at >= now_ && "cannot schedule into the past");
-  HOSTNET_INVARIANT(at >= now_,
-                    "simulator time monotonicity: event scheduled at tick %lld "
-                    "but the clock is already at %lld",
-                    static_cast<long long>(at), static_cast<long long>(now_));
-  queue_.push(at, std::move(fn));
-}
 
 bool Simulator::step() {
   const Tick at = queue_.next_tick();

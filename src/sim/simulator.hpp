@@ -7,8 +7,11 @@
 // path performs no heap allocation for closures up to Event::kInlineBytes.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 
+#include "common/check.hpp"
 #include "common/units.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/event.hpp"
@@ -23,11 +26,20 @@ class Simulator {
 
   Tick now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `at` (must be >= now()).
-  void schedule_at(Tick at, Event fn);
+  /// Schedule `fn` to run at absolute time `at` (must be >= now()). The
+  /// event is moved straight into the queue's slab: a closure passed here
+  /// converts to a temporary Event, whose bytes are copied exactly once.
+  void schedule_at(Tick at, Event&& fn) {
+    assert(at >= now_ && "cannot schedule into the past");
+    HOSTNET_INVARIANT(at >= now_,
+                      "simulator time monotonicity: event scheduled at tick %lld "
+                      "but the clock is already at %lld",
+                      static_cast<long long>(at), static_cast<long long>(now_));
+    queue_.push(at, std::move(fn));
+  }
 
   /// Schedule `fn` to run `delay` ticks from now.
-  void schedule(Tick delay, Event fn) { schedule_at(now_ + delay, std::move(fn)); }
+  void schedule(Tick delay, Event&& fn) { schedule_at(now_ + delay, std::move(fn)); }
 
   /// Run events until the queue is empty or the clock passes `until`.
   /// The clock is left at `until`, even if the queue dried up earlier.

@@ -15,6 +15,6 @@ std::vector<Slot> arena;
 Slot* construct_at(void* storage) { return new (storage) Slot{0}; }
 
 // Beyond-horizon ticks are rare and never on the per-event path, so an
-// ordered map is acceptable here (mirrors calendar_queue.hpp).
+// ordered map is acceptable here.
 // hostnet-lint: allow(hot-alloc)
 std::map<long long, Slot> overflow;
