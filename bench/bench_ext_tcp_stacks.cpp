@@ -61,8 +61,7 @@ int main() {
       p2m.name = p2m.tcp->name;
 
       Table t({"C2M cores", "C2M degr", "Net degr", "Net GB/s", "regime"});
-      core::SweepCache cache;
-      const auto sweep = core::sweep_c2m_cores(hc, c2m, p2m, cores, opt, &cache);
+      const auto sweep = core::sweep_c2m_cores(hc, c2m, p2m, cores, opt);
       Onset& o = onsets[q][s];
       for (std::size_t i = 0; i < sweep.size(); ++i) {
         const core::Regime r = sweep[i].regime();

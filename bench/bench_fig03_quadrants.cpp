@@ -44,7 +44,7 @@ int main() {
     p2m.storage = q.p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
                                : workloads::fio_p2m_read(host, workloads::p2m_region());
 
-    const auto sweep = core::sweep_c2m_cores_parallel(host, c2m, p2m, cores, opt);
+    const auto sweep = core::sweep_c2m_cores(host, c2m, p2m, cores, opt);
 
     banner(q.title);
     Table t({"C2M cores", "C2M degr", "P2M degr", "C2M GB/s", "P2M GB/s", "mem total",

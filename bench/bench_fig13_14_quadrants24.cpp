@@ -33,7 +33,7 @@ void run_quadrant(const char* title, const core::HostConfig& host, bool c2m_writ
     points.push_back({host, c2m, std::nullopt});
     points.push_back({host, c2m, p2m});
   }
-  const auto results = core::run_workload_points(points, opt);
+  const auto results = core::run_points(points, opt);
 
   banner(title);
   Table t({"C2M cores", "LFB iso (ns)", "LFB colo (ns)", "RPQ iso", "RPQ colo",

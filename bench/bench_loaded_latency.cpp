@@ -38,7 +38,7 @@ int main() {
   banner("Loaded latency: pointer chase vs P2M-Write load (Cascade Lake)");
   Table t({"P2M load (GB/s)", "chase latency (ns)", "p99 (ns)", "mem util"});
   // Each load point owns its HostSystem, so the curve is embarrassingly
-  // parallel: run the points on the sweep worker pool and print in order.
+  // parallel: run the points on core::run_parallel and print in order.
   const std::array<double, 6> loads{0.0, 2.0, 4.0, 7.0, 10.0, 14.0};
   struct Row {
     double latency_ns, p99_ns, util;

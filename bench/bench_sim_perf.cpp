@@ -374,13 +374,15 @@ core::RunOptions sweep_options() {
   return o;
 }
 
-/// The headline sweep on the checkpoint/fork engine: a SweepCache held
-/// across sweeps, as a figure driver holds one across its whole figure.
-/// The untimed setup sweep warms the per-prefix checkpoints once; the
-/// timed iterations then measure the steady-state cost of re-sweeping
-/// against the warm cache (forks + memoized windows) -- "warm once, sweep
-/// everywhere". BM_ColdQuadrantSweep below is the same sweep built cold
-/// and keeps the warm-up path itself gated.
+/// The headline sweep on the checkpoint/fork engine: the sweep's windows
+/// (the shared iso-P2M window, then iso-C2M and colocated per core count)
+/// through run_workloads with a SweepCache held across sweeps, as a figure
+/// driver holds one across its whole figure. The untimed setup sweep warms
+/// the per-prefix checkpoints once; the timed iterations then measure the
+/// steady-state cost of re-sweeping against the warm cache (forks +
+/// memoized windows) -- "warm once, sweep everywhere". BM_ColdQuadrantSweep
+/// below is the same sweep built cold and keeps the warm-up path itself
+/// gated.
 void BM_SerialQuadrantSweep(benchmark::State& state) {
   const auto host = core::cascade_lake();
   core::C2MSpec c2m;
@@ -390,12 +392,22 @@ void BM_SerialQuadrantSweep(benchmark::State& state) {
   const std::vector<std::uint32_t> cores{1, 2, 3, 4};
   const auto opt = sweep_options();
   core::SweepCache cache;
-  benchmark::DoNotOptimize(
-      core::sweep_c2m_cores(host, c2m, p2m, cores, opt, &cache, core::SweepMode::kFork));
+  const auto sweep = [&] {
+    std::vector<core::ColocationOutcome> out;
+    const core::RunOutcome iso_p2m =
+        core::run_workloads(host, std::nullopt, p2m, opt, &cache, core::SweepMode::kFork);
+    for (std::uint32_t n : cores) {
+      c2m.cores = n;
+      out.push_back(
+          {core::run_workloads(host, c2m, std::nullopt, opt, &cache, core::SweepMode::kFork),
+           iso_p2m, core::run_workloads(host, c2m, p2m, opt, &cache, core::SweepMode::kFork)});
+    }
+    return out;
+  };
+  benchmark::DoNotOptimize(sweep());
   for (auto _ : state) {
-    auto sweep =
-        core::sweep_c2m_cores(host, c2m, p2m, cores, opt, &cache, core::SweepMode::kFork);
-    benchmark::DoNotOptimize(sweep.data());
+    auto out = sweep();
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
   state.counters["checkpoints"] = static_cast<double>(cache.checkpoints());
@@ -417,8 +429,7 @@ void BM_ColdQuadrantSweep(benchmark::State& state) {
   const std::vector<std::uint32_t> cores{1, 2, 3, 4};
   const auto opt = sweep_options();
   for (auto _ : state) {
-    auto sweep =
-        core::sweep_c2m_cores(host, c2m, p2m, cores, opt, nullptr, core::SweepMode::kCold);
+    auto sweep = core::sweep_c2m_cores(host, c2m, p2m, cores, opt, /*threads=*/1);
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
@@ -449,7 +460,7 @@ void BM_SnapshotRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond);
 
-/// Same 4-point sweep on the worker pool; Arg = thread count. Near-linear
+/// Same 4-point sweep on run_points; Arg = thread count. Near-linear
 /// scaling to 4 threads expected on multi-core hosts (the 9 measurement
 /// windows per sweep are fully independent).
 void BM_ParallelQuadrantSweep(benchmark::State& state) {
@@ -462,7 +473,7 @@ void BM_ParallelQuadrantSweep(benchmark::State& state) {
   const auto opt = sweep_options();
   const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    auto sweep = core::sweep_c2m_cores_parallel(host, c2m, p2m, cores, opt, threads);
+    auto sweep = core::sweep_c2m_cores(host, c2m, p2m, cores, opt, threads);
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));

@@ -21,19 +21,22 @@ threshold (default 10%), so it can gate a PR:
         build/BENCH_sim_perf.json
 
 Aggregate entries (``*_mean``, ``*_median``, ``*_stddev``, ``*_cv``) are
-skipped; raw repetition entries are averaged per name. Stdlib only.
+skipped; each benchmark is scored by the median of its raw repetition
+entries, so one outlier repetition cannot flip the verdict (run with
+``--benchmark_repetitions=3`` or more). Stdlib only.
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_min", "_max")
 
 
 def load(path):
-    """name -> {metric: mean value} for the raw benchmark entries."""
+    """name -> {metric: median value} over the raw benchmark entries."""
     with open(path) as f:
         doc = json.load(f)
     acc = {}
@@ -41,16 +44,12 @@ def load(path):
         name = b.get("name", "")
         if not name or name.endswith(AGGREGATE_SUFFIXES) or b.get("run_type") == "aggregate":
             continue
-        entry = acc.setdefault(name, {"n": 0})
-        entry["n"] += 1
+        entry = acc.setdefault(name, {})
         for metric in ("real_time", "cpu_time", "items_per_second"):
             if metric in b:
-                entry[metric] = entry.get(metric, 0.0) + float(b[metric])
-    for entry in acc.values():
-        n = entry.pop("n")
-        for k in list(entry):
-            entry[k] /= n
-    return acc
+                entry.setdefault(metric, []).append(float(b[metric]))
+    return {name: {k: statistics.median(v) for k, v in entry.items()}
+            for name, entry in acc.items()}
 
 
 def load_retired(path):

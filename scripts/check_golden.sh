@@ -4,9 +4,11 @@
 #
 # The flow-layer refactor (and any future one touching the credit pools)
 # claims to be behavior-preserving; this harness is the enforcement: every
-# bench_fig* binary is run with the measurement-window environment overrides
-# cleared (the simulation is fully deterministic, so the outputs are
-# machine-independent) and diffed against its golden.
+# bench_fig* binary is run on its default cold path, with the
+# measurement-window environment overrides cleared (the simulation is fully
+# deterministic, so the outputs are machine-independent), and diffed
+# against its golden. Fork-vs-cold identity is checked separately, per
+# component mix, by tests/test_checkpoint.cpp.
 #
 # Usage:
 #   scripts/check_golden.sh [--update] [bench_build_dir]
@@ -55,11 +57,7 @@ for bin in "${benches[@]}"; do
   golden="${golden_dir}/${name}.txt"
   # The env overrides shorten CI measurement windows; goldens are captured
   # at the default windows so they are comparable across environments.
-  # HOSTNET_FORK_SWEEPS=1 routes every sweep through the checkpoint/fork
-  # engine: the goldens double as the proof that forked sweeps are
-  # byte-identical to the cold runs the goldens were captured from.
-  env -u HOSTNET_MEASURE_US -u HOSTNET_WARMUP_US \
-      HOSTNET_FORK_SWEEPS=1 "${bin}" > "${tmp_out}"
+  env -u HOSTNET_MEASURE_US -u HOSTNET_WARMUP_US "${bin}" > "${tmp_out}"
   if [[ "${mode}" == "update" ]]; then
     cp "${tmp_out}" "${golden}"
     echo "updated  ${name}"

@@ -18,6 +18,7 @@ build_dir="${1:-"${repo_root}/build-asan"}"
 cmake -B "${build_dir}" -S "${repo_root}" -DHOSTNET_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${build_dir}" --target hostnet_tests hostnet_checkpoint_tests \
+  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli \
   -j "$(nproc)"
 
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \

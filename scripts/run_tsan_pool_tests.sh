@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the test suite with ThreadSanitizer and runs the full tier-1 suite
 # (perf-labeled benchmark jobs excluded) -- most importantly the parallel
-# sweep engine tests (worker pool + parallel experiment sweeps), since the
+# sweep engine tests (run_parallel + the run_points sweeps), since the
 # slot-arena scheduler and ring-buffer queues run inside every sweep worker.
 # Guards the threading model documented in DESIGN.md: one HostSystem per
 # job, no shared mutable state between workers.
@@ -15,6 +15,7 @@ build_dir="${1:-"${repo_root}/build-tsan"}"
 cmake -B "${build_dir}" -S "${repo_root}" -DHOSTNET_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${build_dir}" --target hostnet_tests hostnet_checkpoint_tests \
+  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli \
   -j "$(nproc)"
 
 # TSan halts on the first data race so a regression fails the run loudly.

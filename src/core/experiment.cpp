@@ -1,7 +1,9 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -27,10 +29,31 @@ TcpFactory installed_tcp_factory = nullptr;
 void set_tcp_factory(TcpFactory f) { installed_tcp_factory = f; }
 TcpFactory tcp_factory() { return installed_tcp_factory; }
 
+namespace {
+
+/// A measurement-window length from environment variable `name` in µs
+/// (`fallback` when unset). The whole token must parse as a finite number
+/// that fits a Tick; zero passes only when `allow_zero`.
+Tick env_us(const char* name, Tick fallback, bool allow_zero) {
+  const char* e = std::getenv(name);
+  if (!e) return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(e, &end);
+  const double max_us = static_cast<double>(std::numeric_limits<Tick>::max()) / kMicrosecond;
+  if (end == e || *end != '\0' || !std::isfinite(v) || v < 0 || v >= max_us ||
+      (!allow_zero && us(v) <= 0))
+    throw std::invalid_argument(std::string(name) + "=\"" + e + "\": expected a " +
+                                (allow_zero ? "non-negative" : "positive") +
+                                " number of microseconds");
+  return us(v);
+}
+
+}  // namespace
+
 RunOptions default_run_options() {
   RunOptions o;
-  if (const char* e = std::getenv("HOSTNET_MEASURE_US")) o.measure = us(std::atof(e));
-  if (const char* e = std::getenv("HOSTNET_WARMUP_US")) o.warmup = us(std::atof(e));
+  o.measure = env_us("HOSTNET_MEASURE_US", o.measure, false);
+  o.warmup = env_us("HOSTNET_WARMUP_US", o.warmup, true);
   return o;
 }
 
@@ -225,27 +248,9 @@ void SweepCache::clear() {
   stats_ = Stats{};
 }
 
-SweepCache& thread_sweep_cache() {
-  thread_local SweepCache cache;
-  return cache;
-}
-
-bool fork_sweeps_default() {
-  static const bool on = [] {
-    const char* e = std::getenv("HOSTNET_FORK_SWEEPS");
-    if (!e) return false;
-    return std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0 ||
-           std::strcmp(e, "true") == 0;
-  }();
-  return on;
-}
-
 RunOutcome run_workloads(const HostConfig& hc, const std::optional<C2MSpec>& c2m,
                          const std::optional<P2MSpec>& p2m, const RunOptions& opt,
                          SweepCache* cache, SweepMode mode) {
-  if (!cache && (mode == SweepMode::kFork ||
-                 (mode == SweepMode::kAuto && fork_sweeps_default())))
-    cache = &thread_sweep_cache();
   if (mode == SweepMode::kCold) cache = nullptr;
 
   if (!cache) {
@@ -313,96 +318,43 @@ RunOutcome run_workloads(const HostConfig& hc, const std::optional<C2MSpec>& c2m
   return out;
 }
 
-ColocationOutcome run_colocation(const HostConfig& host, const C2MSpec& c2m,
-                                 const P2MSpec& p2m, const RunOptions& opt,
-                                 SweepCache* cache, SweepMode mode) {
-  ColocationOutcome o;
-  o.iso_c2m = run_workloads(host, c2m, std::nullopt, opt, cache, mode);
-  o.iso_p2m = run_workloads(host, std::nullopt, p2m, opt, cache, mode);
-  o.colo = run_workloads(host, c2m, p2m, opt, cache, mode);
-  return o;
-}
-
-std::vector<RunOutcome> run_workload_points(const std::vector<WorkloadPoint>& points,
-                                            const RunOptions& opt, unsigned nthreads,
-                                            SweepMode mode) {
+std::vector<RunOutcome> run_points(const std::vector<WorkloadPoint>& points,
+                                   const RunOptions& opt, unsigned threads) {
   std::vector<RunOutcome> out(points.size());
   run_parallel(
       points.size(),
       [&](std::size_t i) {
         const WorkloadPoint& p = points[i];
-        // cache=nullptr: forking points resolve the worker thread's own
-        // thread_sweep_cache(), so threads never share a cache.
-        out[i] = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, mode);
+        out[i] = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, SweepMode::kCold);
       },
-      nthreads);
+      threads);
   return out;
 }
 
-std::vector<ColocationOutcome> run_colocation_points(const std::vector<ColocationPoint>& points,
-                                                     const RunOptions& opt, unsigned nthreads,
-                                                     SweepMode mode) {
-  std::vector<ColocationOutcome> out(points.size());
-  run_parallel(
-      points.size() * 3,
-      [&](std::size_t job) {
-        const ColocationPoint& p = points[job / 3];
-        ColocationOutcome& o = out[job / 3];
-        switch (job % 3) {
-          case 0: o.iso_c2m = run_workloads(p.host, p.c2m, std::nullopt, opt, nullptr, mode); break;
-          case 1: o.iso_p2m = run_workloads(p.host, std::nullopt, p.p2m, opt, nullptr, mode); break;
-          default: o.colo = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, mode); break;
-        }
-      },
-      nthreads);
-  return out;
-}
-
-std::vector<ColocationOutcome> sweep_c2m_cores_parallel(const HostConfig& host, C2MSpec c2m,
-                                                        const P2MSpec& p2m,
-                                                        const std::vector<std::uint32_t>& cores,
-                                                        const RunOptions& opt, unsigned nthreads,
-                                                        SweepMode mode) {
-  std::vector<ColocationOutcome> out(cores.size());
-  RunOutcome iso_p2m;
-  // Job 0 measures the shared iso_p2m window; jobs 2i+1 / 2i+2 measure point
-  // i's iso-C2M and colocated windows.
-  run_parallel(
-      cores.size() * 2 + 1,
-      [&](std::size_t job) {
-        if (job == 0) {
-          iso_p2m = run_workloads(host, std::nullopt, p2m, opt, nullptr, mode);
-          return;
-        }
-        C2MSpec spec = c2m;
-        spec.cores = cores[(job - 1) / 2];
-        ColocationOutcome& o = out[(job - 1) / 2];
-        if (job % 2 == 1)
-          o.iso_c2m = run_workloads(host, spec, std::nullopt, opt, nullptr, mode);
-        else
-          o.colo = run_workloads(host, spec, p2m, opt, nullptr, mode);
-      },
-      nthreads);
-  for (auto& o : out) o.iso_p2m = iso_p2m;
-  return out;
+ColocationOutcome run_colocation(const HostConfig& host, const C2MSpec& c2m,
+                                 const P2MSpec& p2m, const RunOptions& opt, unsigned threads) {
+  const std::vector<RunOutcome> r = run_points(
+      {{host, c2m, std::nullopt}, {host, std::nullopt, p2m}, {host, c2m, p2m}}, opt, threads);
+  return {r[0], r[1], r[2]};
 }
 
 std::vector<ColocationOutcome> sweep_c2m_cores(const HostConfig& host, C2MSpec c2m,
                                                const P2MSpec& p2m,
                                                const std::vector<std::uint32_t>& cores,
-                                               const RunOptions& opt, SweepCache* cache,
-                                               SweepMode mode) {
-  const RunOutcome iso_p2m = run_workloads(host, std::nullopt, p2m, opt, cache, mode);
-  std::vector<ColocationOutcome> out;
-  out.reserve(cores.size());
+                                               const RunOptions& opt, unsigned threads) {
+  // Window 0 is the shared iso-P2M window; windows 2i+1 / 2i+2 are point
+  // i's iso-C2M and colocated windows.
+  std::vector<WorkloadPoint> points{{host, std::nullopt, p2m}};
+  points.reserve(cores.size() * 2 + 1);
   for (std::uint32_t n : cores) {
     c2m.cores = n;
-    ColocationOutcome o;
-    o.iso_c2m = run_workloads(host, c2m, std::nullopt, opt, cache, mode);
-    o.iso_p2m = iso_p2m;
-    o.colo = run_workloads(host, c2m, p2m, opt, cache, mode);
-    out.push_back(std::move(o));
+    points.push_back({host, c2m, std::nullopt});
+    points.push_back({host, c2m, p2m});
   }
+  const std::vector<RunOutcome> r = run_points(points, opt, threads);
+  std::vector<ColocationOutcome> out;
+  out.reserve(cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i) out.push_back({r[2 * i + 1], r[0], r[2 * i + 2]});
   return out;
 }
 

@@ -97,6 +97,8 @@ struct RunOptions {
 
 /// Reads the default measurement window, honoring HOSTNET_MEASURE_US and
 /// HOSTNET_WARMUP_US environment overrides (useful to shorten CI runs).
+/// Throws std::invalid_argument naming the variable when a set value is not
+/// a number (the whole token) of microseconds > 0 (measure) or >= 0 (warmup).
 RunOptions default_run_options();
 
 struct RunOutcome {
@@ -111,7 +113,8 @@ struct RunOutcome {
 // warmup) prefix. The fork engine warms a prototype host once per shared
 // prefix, snapshots it at the post-warmup reset_counters() quiesce point,
 // and forks every subsequent point of that prefix from the checkpoint
-// instead of re-warming.
+// instead of re-warming. It runs only through a caller-owned SweepCache
+// (the fleet runner holds one per shard); every other sweep runs cold.
 //
 // Warmup-sharing caveat: two points share a warmed checkpoint ONLY when
 // config_fingerprint() -- a canonical field-by-field encoding of every
@@ -124,9 +127,8 @@ struct RunOutcome {
 
 /// How run_workloads executes a point.
 enum class SweepMode : std::uint8_t {
-  kAuto,  ///< fork iff a cache is passed or HOSTNET_FORK_SWEEPS=1 is set
   kCold,  ///< always build + warm a fresh host (reference behaviour)
-  kFork,  ///< fork from the calling thread's SweepCache checkpoints
+  kFork,  ///< fork from the caller's SweepCache (cold when it is null)
 };
 
 /// Canonical fingerprint of one simulation configuration: every field of
@@ -141,18 +143,18 @@ std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSp
 class SweepCache;
 
 /// Build a host with the given workloads and run one measurement window.
-/// With a cache (explicit, or resolved per `mode`), the warmed host is
-/// checkpointed and reused: same-fingerprint points restore instead of
-/// re-warming, and fully-identical (fingerprint + measure) reruns return
-/// the memoized outcome -- legitimate because the simulation is
-/// deterministic. Results are bit-identical to cold runs either way.
+/// With a cache under kFork, the warmed host is checkpointed and reused:
+/// same-fingerprint points restore instead of re-warming, and
+/// fully-identical (fingerprint + measure) reruns return the memoized
+/// outcome -- legitimate because the simulation is deterministic. A null
+/// cache (or kCold) runs cold. Results are bit-identical either way.
 RunOutcome run_workloads(const HostConfig& host, const std::optional<C2MSpec>& c2m,
                          const std::optional<P2MSpec>& p2m, const RunOptions& opt,
-                         SweepCache* cache = nullptr, SweepMode mode = SweepMode::kAuto);
+                         SweepCache* cache = nullptr, SweepMode mode = SweepMode::kFork);
 
-/// Checkpoint + outcome cache for forked sweeps. Single-threaded (use one
-/// per thread; thread_sweep_cache() below); owns the warmed prototype
-/// hosts, so it is expensive while alive and cheap to clear().
+/// Checkpoint + outcome cache for forked sweeps. Single-threaded (one per
+/// thread or per fleet shard); owns the warmed prototype hosts, so it is
+/// expensive while alive and cheap to clear().
 class SweepCache {
  public:
   SweepCache();
@@ -191,14 +193,26 @@ class SweepCache {
   Stats stats_;
 };
 
-/// The calling thread's SweepCache (function-local thread_local: persistent
-/// worker-pool threads keep their caches across batches; destroyed at
-/// thread exit).
-SweepCache& thread_sweep_cache();
+// -- the sweep executor --------------------------------------------------------
+//
+// Every sweep is a list of measurement windows. run_points runs them cold,
+// each on its own HostSystem built from the same (config, seed) inputs, so
+// points share no mutable state and the results are bit-identical for any
+// thread count, in input order. Threads: explicit `threads`, else the
+// HOSTNET_THREADS environment override, else hardware concurrency (see
+// core/parallel.hpp); threads = 1 is the serial path. run_colocation and
+// sweep_c2m_cores build their point lists and assemble the outcomes.
 
-/// True when HOSTNET_FORK_SWEEPS=1/on/true is set: SweepMode::kAuto points
-/// then fork through thread_sweep_cache(). Read once per process.
-bool fork_sweeps_default();
+/// One (host, workload) measurement window.
+struct WorkloadPoint {
+  HostConfig host;
+  std::optional<C2MSpec> c2m;
+  std::optional<P2MSpec> p2m;
+};
+
+/// run_workloads (cold) over every point; results in input order.
+std::vector<RunOutcome> run_points(const std::vector<WorkloadPoint>& points,
+                                   const RunOptions& opt, unsigned threads = 0);
 
 struct ColocationOutcome {
   RunOutcome iso_c2m;
@@ -215,68 +229,18 @@ struct ColocationOutcome {
   Regime regime() const { return classify_regime(c2m_degradation(), p2m_degradation()); }
 };
 
-/// The full isolation/colocation protocol for one configuration point.
+/// The full isolation/colocation protocol for one configuration point: its
+/// three windows (iso C2M, iso P2M, colocated) through run_points.
 ColocationOutcome run_colocation(const HostConfig& host, const C2MSpec& c2m,
                                  const P2MSpec& p2m, const RunOptions& opt,
-                                 SweepCache* cache = nullptr,
-                                 SweepMode mode = SweepMode::kAuto);
+                                 unsigned threads = 0);
 
 /// Sweep the number of C2M cores (the x-axis of most paper figures).
-/// iso_p2m is measured once and shared across points. With a cache/fork
-/// mode the iso-P2M prefix (which every point shares) and each per-count
-/// prefix warm once; see the warmup-sharing caveat above.
+/// iso_p2m is measured once and shared across points; every window of the
+/// sweep runs as one run_points batch.
 std::vector<ColocationOutcome> sweep_c2m_cores(const HostConfig& host, C2MSpec c2m,
                                                const P2MSpec& p2m,
                                                const std::vector<std::uint32_t>& cores,
-                                               const RunOptions& opt,
-                                               SweepCache* cache = nullptr,
-                                               SweepMode mode = SweepMode::kAuto);
-
-// -- parallel sweep engine ---------------------------------------------------
-//
-// Every sweep point builds its own HostSystem from the same (config, seed)
-// inputs as the serial path and shares no mutable state with other points,
-// so the parallel variants below return results bit-identical to running the
-// same points serially, in input order. Worker count: explicit `nthreads`,
-// else the HOSTNET_THREADS environment override, else hardware concurrency
-// (see core/parallel.hpp).
-
-/// One (host, workload) configuration of a batched run_workloads sweep.
-struct WorkloadPoint {
-  HostConfig host;
-  std::optional<C2MSpec> c2m;
-  std::optional<P2MSpec> p2m;
-};
-
-/// Parallel map of run_workloads over `points`; results in input order.
-/// Forking points (`mode`, or HOSTNET_FORK_SWEEPS under kAuto) use each
-/// worker thread's thread_sweep_cache(), which persists across batches on
-/// the worker pool.
-std::vector<RunOutcome> run_workload_points(const std::vector<WorkloadPoint>& points,
-                                            const RunOptions& opt, unsigned nthreads = 0,
-                                            SweepMode mode = SweepMode::kAuto);
-
-/// One colocation configuration (the unit of a multi-point sweep).
-struct ColocationPoint {
-  HostConfig host;
-  C2MSpec c2m;
-  P2MSpec p2m;
-};
-
-/// Parallel variant of run_colocation over many points. Each point expands
-/// to its three measurement windows (iso C2M, iso P2M, colocated), which are
-/// scheduled as independent jobs for load balancing.
-std::vector<ColocationOutcome> run_colocation_points(const std::vector<ColocationPoint>& points,
-                                                     const RunOptions& opt, unsigned nthreads = 0,
-                                                     SweepMode mode = SweepMode::kAuto);
-
-/// Parallel variant of sweep_c2m_cores: identical protocol (iso_p2m is
-/// measured once and shared across points) and bit-identical results.
-std::vector<ColocationOutcome> sweep_c2m_cores_parallel(const HostConfig& host, C2MSpec c2m,
-                                                        const P2MSpec& p2m,
-                                                        const std::vector<std::uint32_t>& cores,
-                                                        const RunOptions& opt,
-                                                        unsigned nthreads = 0,
-                                                        SweepMode mode = SweepMode::kAuto);
+                                               const RunOptions& opt, unsigned threads = 0);
 
 }  // namespace hostnet::core

@@ -1,10 +1,10 @@
 #include "core/parallel.hpp"
 
-#include <condition_variable>
-#include <cstdint>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -21,128 +21,9 @@ unsigned parallel_threads() {
 
 namespace {
 
-/// Set while a thread is executing a pool job: a nested run_parallel from
-/// inside a job runs serially inline instead of deadlocking on the pool.
-thread_local bool tl_in_pool_job = false;
-
-/// Persistent worker pool. Threads are spawned on first use, grow to the
-/// largest worker count ever requested, and live until process exit --
-/// per-batch construction cost (thread spawn, stack faults) is paid once,
-/// and thread_local state on the workers (notably the fork engine's
-/// SweepCache) persists across batches. One batch runs at a time; the
-/// caller participates in its own batch, and a batch admits at most the
-/// requested number of pool workers, so HOSTNET_THREADS semantics are
-/// unchanged from the spawn-per-call engine.
-class WorkerPool {
- public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
-  }
-
-  void run(std::size_t count, const std::function<void(std::size_t)>& body,
-           unsigned nthreads) {
-    // Serialize concurrent top-level run_parallel calls (rare; the pool has
-    // a single batch slot).
-    const std::lock_guard<std::mutex> batch_lock(batch_mu_);
-    std::unique_lock<std::mutex> lk(mu_);
-    ensure_threads(nthreads - 1);
-    body_ = &body;
-    count_ = count;
-    next_ = 0;
-    in_flight_ = 0;
-    abort_ = false;
-    err_ = nullptr;
-    slots_ = nthreads - 1;  // pool workers admitted; the caller is the nth
-    ++generation_;
-    work_cv_.notify_all();
-    drain(lk);
-    done_cv_.wait(lk, [&] { return (abort_ || next_ >= count_) && in_flight_ == 0; });
-    body_ = nullptr;
-    slots_ = 0;
-    if (err_) {
-      std::exception_ptr e = err_;
-      err_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
-  ~WorkerPool() {
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
- private:
-  WorkerPool() = default;
-
-  void ensure_threads(unsigned n) {
-    while (threads_.size() < n)
-      threads_.emplace_back([this] { worker_loop(); });
-  }
-
-  /// Claim-and-run loop shared by the caller and the pool workers. Enter
-  /// and leave with the lock held. A worker that wakes late -- after the
-  /// batch completed -- no-ops on the loop guard.
-  void drain(std::unique_lock<std::mutex>& lk) {
-    while (!abort_ && next_ < count_) {
-      const std::size_t i = next_++;
-      ++in_flight_;
-      const std::function<void(std::size_t)>* body = body_;
-      lk.unlock();
-      const bool was_in_job = tl_in_pool_job;
-      tl_in_pool_job = true;
-      std::exception_ptr e;
-      try {
-        (*body)(i);
-      } catch (...) {
-        e = std::current_exception();
-      }
-      tl_in_pool_job = was_in_job;
-      lk.lock();
-      --in_flight_;
-      if (e) {
-        if (!err_) err_ = e;
-        abort_ = true;
-      }
-      if (in_flight_ == 0 && (abort_ || next_ >= count_)) done_cv_.notify_all();
-    }
-  }
-
-  void worker_loop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    std::uint64_t seen = 0;
-    for (;;) {
-      work_cv_.wait(lk, [&] {
-        return shutdown_ || (generation_ != seen && slots_ > 0 && body_ != nullptr);
-      });
-      if (shutdown_) return;
-      seen = generation_;
-      --slots_;
-      drain(lk);
-    }
-  }
-
-  std::mutex batch_mu_;  ///< one batch at a time
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> threads_;
-
-  // Batch state (guarded by mu_).
-  const std::function<void(std::size_t)>* body_ = nullptr;
-  std::size_t count_ = 0;
-  std::size_t next_ = 0;
-  unsigned in_flight_ = 0;
-  unsigned slots_ = 0;
-  std::uint64_t generation_ = 0;
-  bool abort_ = false;
-  bool shutdown_ = false;
-  std::exception_ptr err_;
-};
+/// Set while a thread is executing run_parallel jobs: a nested run_parallel
+/// from inside a job runs serially inline instead of spawning more workers.
+thread_local bool tl_in_job = false;
 
 }  // namespace
 
@@ -151,13 +32,43 @@ void run_parallel(std::size_t count, const std::function<void(std::size_t)>& bod
   if (count == 0) return;
   if (nthreads == 0) nthreads = parallel_threads();
   if (nthreads > count) nthreads = static_cast<unsigned>(count);
-  if (nthreads <= 1 || tl_in_pool_job) {
-    // Serial, or nested inside a pool job (run inline; the pool's threads
-    // are busy with the outer batch).
+  if (nthreads <= 1 || tl_in_job) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  WorkerPool::instance().run(count, body, nthreads);
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> abort{false};
+  std::mutex err_mu;
+  std::exception_ptr err;
+  const auto work = [&] {
+    tl_in_job = true;
+    while (!abort) {
+      const std::size_t i = next++;
+      if (i >= count) break;
+      try {
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lk(err_mu);
+        if (!err) err = std::current_exception();
+        abort = true;
+      }
+    }
+    tl_in_job = false;
+  };
+
+  std::vector<std::thread> workers;
+  workers.reserve(nthreads - 1);
+  for (unsigned t = 1; t < nthreads; ++t) {
+    try {
+      workers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no more threads available: finish with the ones running
+    }
+  }
+  work();  // the calling thread is a worker too
+  for (std::thread& w : workers) w.join();
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace hostnet::core

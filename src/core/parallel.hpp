@@ -1,21 +1,16 @@
-// Worker-pool parallel-for for sweep workloads.
+// Parallel-for for sweep workloads.
 //
 // Every paper figure is a sweep of independent simulation points; each point
 // owns its HostSystem (and therefore its Simulator, RNG streams, and
 // counters), so points can run on separate threads with no shared mutable
 // state and bit-identical results to a serial run. This header provides the
-// minimal engine for that: run N independent jobs on a PERSISTENT pool --
-// worker threads are spawned on first use and reused across batches, so a
-// sweep of many small batches pays thread spawn/teardown once, and
-// thread_local state on the workers (the fork engine's SweepCache) survives
-// between batches.
+// minimal engine for that: each call spawns its workers, which claim jobs
+// from a shared atomic counter, and joins them before returning.
 //
 // Thread-count policy: the HOSTNET_THREADS environment variable overrides;
-// otherwise std::thread::hardware_concurrency() is used. A batch admits at
-// most the requested worker count regardless of pool size, and the calling
-// thread always participates, so the policy is identical to the old
-// spawn-per-call engine. A nested run_parallel from inside a pool job runs
-// serially inline.
+// otherwise std::thread::hardware_concurrency() is used, capped at the job
+// count. The calling thread participates as a worker. A nested run_parallel
+// from inside a job runs serially inline.
 //
 // Caveat: sim::Tracer::set_global installs a process-wide trace sink; do not
 // enable it while running parallel sweeps (see DESIGN.md, threading model).
@@ -34,8 +29,7 @@ unsigned parallel_threads();
 /// parallel_threads()). Jobs are claimed from a shared atomic counter; the
 /// call returns after every claimed job has finished. The calling thread
 /// participates as a worker. If a job throws, remaining unclaimed jobs are
-/// abandoned, all workers are joined, and the first exception is rethrown --
-/// the pool never deadlocks on a throwing job.
+/// abandoned, all workers are joined, and the first exception is rethrown.
 void run_parallel(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned nthreads = 0);
 

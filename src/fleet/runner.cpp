@@ -18,17 +18,17 @@ struct Shard {
 /// tenant placed) run their lone window once and reuse it as both the
 /// isolated and "colocated" outcome -- degradation 1.0, regime kNone.
 core::ColocationOutcome run_host(const HostTemplate& t, const core::RunOptions& opt,
-                                 core::SweepCache* cache, core::SweepMode mode) {
+                                 core::SweepCache* cache) {
   core::ColocationOutcome o;
   if (t.c2m && t.p2m) {
-    o.iso_c2m = core::run_workloads(t.host, t.c2m, std::nullopt, opt, cache, mode);
-    o.iso_p2m = core::run_workloads(t.host, std::nullopt, t.p2m, opt, cache, mode);
-    o.colo = core::run_workloads(t.host, t.c2m, t.p2m, opt, cache, mode);
+    o.iso_c2m = core::run_workloads(t.host, t.c2m, std::nullopt, opt, cache);
+    o.iso_p2m = core::run_workloads(t.host, std::nullopt, t.p2m, opt, cache);
+    o.colo = core::run_workloads(t.host, t.c2m, t.p2m, opt, cache);
   } else if (t.c2m) {
-    o.iso_c2m = core::run_workloads(t.host, t.c2m, std::nullopt, opt, cache, mode);
+    o.iso_c2m = core::run_workloads(t.host, t.c2m, std::nullopt, opt, cache);
     o.colo = o.iso_c2m;
   } else {
-    o.iso_p2m = core::run_workloads(t.host, std::nullopt, t.p2m, opt, cache, mode);
+    o.iso_p2m = core::run_workloads(t.host, std::nullopt, t.p2m, opt, cache);
     o.colo = o.iso_p2m;
   }
   return o;
@@ -39,8 +39,6 @@ core::ColocationOutcome run_host(const HostTemplate& t, const core::RunOptions& 
 FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
   const std::vector<HostInstance> hosts = sc.expand();
   const std::vector<HostTemplate>& templates = sc.templates();
-  const core::SweepMode mode =
-      opt.mode == core::SweepMode::kCold ? core::SweepMode::kCold : core::SweepMode::kFork;
 
   // The fingerprint is a pure function of the template (measurement jitter
   // changes only the window length, never construction or warmup), so it is
@@ -74,12 +72,13 @@ FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
       shards.size(),
       [&](std::size_t s) {
         // The shard's SweepCache owns its warmed prototype hosts; replicas
-        // of its fingerprint fork from (or memo-hit) those checkpoints.
+        // of its fingerprint fork from (or memo-hit) those checkpoints. A
+        // null cache (cold mode) builds and warms every window.
         core::SweepCache cache;
-        core::SweepCache* cptr = mode == core::SweepMode::kFork ? &cache : nullptr;
+        core::SweepCache* cptr = opt.mode == core::SweepMode::kFork ? &cache : nullptr;
         for (std::size_t hi : shards[s].hosts) {
           const HostInstance& h = hosts[hi];
-          aggs[s].add_host(templates[h.tmpl], run_host(templates[h.tmpl], h.opt, cptr, mode));
+          aggs[s].add_host(templates[h.tmpl], run_host(templates[h.tmpl], h.opt, cptr));
         }
         cache_stats[s] = cache.stats();
       },

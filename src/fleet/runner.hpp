@@ -4,8 +4,8 @@
 // runner shards hosts BY CONFIG FINGERPRINT rather than round-robin: all
 // hosts with the same core::config_fingerprint() land on the same shard,
 // each shard owns one core::SweepCache (which owns the shard's reusable
-// warmed HostSystems), and the shards run as independent jobs on the
-// persistent core::run_parallel pool. Per fingerprint the fleet therefore
+// warmed HostSystems), and the shards run as independent jobs on
+// core::run_parallel. Per fingerprint the fleet therefore
 // pays ONE cold construction+warmup; every further host of that
 // fingerprint either restores from the warm checkpoint (distinct
 // measurement window, e.g. under scenario measure jitter) or hits the
@@ -35,9 +35,10 @@ struct RunnerOptions {
   /// (HOSTNET_THREADS override, else hardware concurrency). Thread count
   /// never changes results -- sharding is by fingerprint, not by thread.
   unsigned threads = 0;
-  /// kFork (default, also what kAuto resolves to): warm once per
-  /// fingerprint, fork/memoize every host. kCold: build + warm every
-  /// window from scratch -- the reference path the fork engine must match.
+  /// kFork (default): each shard owns a SweepCache, so every fingerprint
+  /// warms once and every further host forks/memoizes. kCold: build + warm
+  /// every window from scratch -- the reference path the fork engine must
+  /// match.
   core::SweepMode mode = core::SweepMode::kFork;
 };
 

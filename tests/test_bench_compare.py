@@ -22,6 +22,7 @@ COMPARE = os.path.join(REPO, "scripts", "bench_compare.py")
 
 
 def bench_json(entries):
+    """Raw iteration entries; a name may repeat (one entry per repetition)."""
     return {"benchmarks": [{"name": n, "run_type": "iteration", "real_time": t}
                            for n, t in entries]}
 
@@ -50,6 +51,18 @@ class BenchCompareTest(unittest.TestCase):
 
     def test_regression_fails(self):
         res = self.compare([("BM_A", 10.0)], [("BM_A", 12.0)])
+        self.assertEqual(res.returncode, 1, msg=res.stdout + res.stderr)
+        self.assertIn("REGRESSION", res.stdout)
+
+    def test_one_outlier_repetition_does_not_flip_the_verdict(self):
+        # The candidate's medians match the baseline; one slow repetition
+        # (3x) would drag a mean 67% above it and fail the gate.
+        res = self.compare([("BM_A", 10.0), ("BM_A", 10.2), ("BM_A", 9.8)],
+                           [("BM_A", 10.1), ("BM_A", 30.0), ("BM_A", 9.9)])
+        self.assertEqual(res.returncode, 0, msg=res.stdout + res.stderr)
+        # ... and one fast outlier cannot hide a real regression either.
+        res = self.compare([("BM_A", 10.0), ("BM_A", 10.2), ("BM_A", 9.8)],
+                           [("BM_A", 13.0), ("BM_A", 1.0), ("BM_A", 12.8)])
         self.assertEqual(res.returncode, 1, msg=res.stdout + res.stderr)
         self.assertIn("REGRESSION", res.stdout)
 

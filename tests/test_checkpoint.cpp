@@ -199,17 +199,21 @@ RunOptions fast_options() {
 }
 
 struct Preset {
+  const char* label = "";
   HostConfig host;
   std::optional<C2MSpec> c2m;
   std::optional<P2MSpec> p2m;
 };
 
-/// Three host presets x distinct workload mixes: the differential matrix.
+/// Host presets x the component mixes the figure, extension and ablation
+/// benches run: the differential matrix. Every row must fork bit-identically
+/// to its cold run.
 std::vector<Preset> differential_presets() {
   std::vector<Preset> presets;
 
   {  // Cascade Lake, C2M-Read vs P2M-Write (the paper's Figure 2 quadrant).
     Preset p;
+    p.label = "clx c2m-read + p2m-write";
     p.host = cascade_lake();
     C2MSpec c2m;
     c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
@@ -222,6 +226,7 @@ std::vector<Preset> differential_presets() {
   }
   {  // Ice Lake, read-write cores vs P2M-Read.
     Preset p;
+    p.label = "icx c2m-rw + p2m-read";
     p.host = ice_lake();
     C2MSpec c2m;
     c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
@@ -234,6 +239,7 @@ std::vector<Preset> differential_presets() {
   }
   {  // Single-channel Cascade Lake variant, C2M only.
     Preset p;
+    p.label = "clx-1ch c2m-read";
     p.host = cascade_lake();
     p.host.name = "cascade-lake-1ch";
     p.host.dram.channels = 1;
@@ -243,12 +249,101 @@ std::vector<Preset> differential_presets() {
     p.c2m = c2m;
     presets.push_back(p);
   }
+  {  // DDIO on, episodic Redis-Read vs P2M-Write (Fig 2(a,c)).
+    Preset p;
+    p.label = "clx ddio redis-read + p2m-write";
+    p.host = cascade_lake();
+    p.host.cha.ddio = true;
+    C2MSpec c2m;
+    c2m.workload = workloads::redis_read(workloads::c2m_core_region(0));
+    c2m.cores = 2;
+    p.c2m = c2m;
+    P2MSpec p2m;
+    p2m.storage = workloads::fio_p2m_write(p.host, workloads::p2m_region());
+    p.p2m = p2m;
+    presets.push_back(p);
+  }
+  {  // DDIO on, episodic Redis-Write vs P2M-Read (Figs 15/17).
+    Preset p;
+    p.label = "clx ddio redis-write + p2m-read";
+    p.host = cascade_lake();
+    p.host.cha.ddio = true;
+    C2MSpec c2m;
+    c2m.workload = workloads::redis_write(workloads::c2m_core_region(0));
+    c2m.cores = 2;
+    p.c2m = c2m;
+    P2MSpec p2m;
+    p2m.storage = workloads::fio_p2m_read(p.host, workloads::p2m_region());
+    p.p2m = p2m;
+    presets.push_back(p);
+  }
+  {  // Ice Lake, DDIO on, GAPBS-PR on one shared graph vs P2M-Write (Fig 1(b,d)).
+    Preset p;
+    p.label = "icx ddio gapbs-pr shared + p2m-write";
+    p.host = ice_lake();
+    p.host.cha.ddio = true;
+    C2MSpec c2m;
+    c2m.workload = workloads::gapbs_pr(workloads::c2m_shared_region());
+    c2m.per_core_region = false;
+    c2m.cores = 3;
+    p.c2m = c2m;
+    P2MSpec p2m;
+    p2m.storage = workloads::fio_p2m_write(p.host, workloads::p2m_region());
+    p.p2m = p2m;
+    presets.push_back(p);
+  }
+  {  // C2M-Read vs fio 4 KiB QD1 (Fig 6, Fig 11, Table 1 latency probes).
+    Preset p;
+    p.label = "clx c2m-read + fio 4k qd1";
+    p.host = cascade_lake();
+    C2MSpec c2m;
+    c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+    c2m.cores = 2;
+    p.c2m = c2m;
+    P2MSpec p2m;
+    p2m.storage = workloads::fio_4k_qd1(p.host, workloads::p2m_region());
+    p.p2m = p2m;
+    presets.push_back(p);
+  }
+  {  // CHA peripheral write priority + tracker reserve (isolation extension).
+    Preset p;
+    p.label = "clx cha priority+reserve c2m-rw + p2m-write";
+    p.host = cascade_lake();
+    p.host.cha.peripheral_write_priority = true;
+    p.host.cha.write_tracker_peripheral_reserve = 48;
+    C2MSpec c2m;
+    c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
+    c2m.cores = 4;
+    p.c2m = c2m;
+    P2MSpec p2m;
+    p2m.storage = workloads::fio_p2m_write(p.host, workloads::p2m_region());
+    p.p2m = p2m;
+    presets.push_back(p);
+  }
+  {  // MC policy and bank-mapping ablations: no read dwell, deep drains,
+     // linear bank hash.
+    Preset p;
+    p.label = "clx mc ablation c2m-rw + p2m-write";
+    p.host = cascade_lake();
+    p.host.mc.dwell_per_queued_read = 0;
+    p.host.mc.wpq_low_wm = 2;
+    p.host.dram.hash = dram::BankHash::kLinear;
+    C2MSpec c2m;
+    c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
+    c2m.cores = 4;
+    p.c2m = c2m;
+    P2MSpec p2m;
+    p2m.storage = workloads::fio_p2m_write(p.host, workloads::p2m_region());
+    p.p2m = p2m;
+    presets.push_back(p);
+  }
   return presets;
 }
 
 TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
   const RunOptions opt = fast_options();
   for (const Preset& p : differential_presets()) {
+    SCOPED_TRACE(p.label);
     SweepCache cache;
     const RunOutcome cold = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, SweepMode::kCold);
     // First forked run warms the checkpoint; the second restores from it.
@@ -262,8 +357,8 @@ TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
         run_workloads(p.host, p.c2m, p.p2m, longer, &cache, SweepMode::kFork);
     expect_identical(cold, fork1);
     expect_identical(cold_long, fork_long);
-    EXPECT_EQ(cache.stats().checkpoint_misses, 1u) << p.host.name;
-    EXPECT_EQ(cache.stats().checkpoint_hits, 1u) << p.host.name;
+    EXPECT_EQ(cache.stats().checkpoint_misses, 1u);
+    EXPECT_EQ(cache.stats().checkpoint_hits, 1u);
   }
 }
 
@@ -295,8 +390,9 @@ TEST(ForkSweep, OutcomeMemoizationAndStats) {
 }
 
 TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
-  // The headline use: sweep_c2m_cores with forking enabled must reproduce
-  // the cold sweep exactly -- every isolated and colocated window.
+  // The headline use: a core sweep's windows forked through one SweepCache
+  // must reproduce the cold sweep_c2m_cores exactly -- every isolated and
+  // colocated window.
   const HostConfig host = cascade_lake();
   const RunOptions opt = fast_options();
   C2MSpec c2m;
@@ -305,18 +401,23 @@ TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3};
 
-  const auto cold = sweep_c2m_cores(host, c2m, p2m, cores, opt, nullptr, SweepMode::kCold);
+  const auto cold = sweep_c2m_cores(host, c2m, p2m, cores, opt);
   SweepCache cache;
-  const auto forked = sweep_c2m_cores(host, c2m, p2m, cores, opt, &cache, SweepMode::kFork);
-  ASSERT_EQ(forked.size(), cold.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    expect_identical(forked[i].iso_c2m, cold[i].iso_c2m);
-    expect_identical(forked[i].iso_p2m, cold[i].iso_p2m);
-    expect_identical(forked[i].colo, cold[i].colo);
+  const RunOutcome iso_p2m =
+      run_workloads(host, std::nullopt, p2m, opt, &cache, SweepMode::kFork);
+  ASSERT_EQ(cold.size(), cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    c2m.cores = cores[i];
+    expect_identical(run_workloads(host, c2m, std::nullopt, opt, &cache, SweepMode::kFork),
+                     cold[i].iso_c2m);
+    expect_identical(iso_p2m, cold[i].iso_p2m);
+    expect_identical(run_workloads(host, c2m, p2m, opt, &cache, SweepMode::kFork), cold[i].colo);
   }
-  // The shared iso-P2M window is measured once; per-count prefixes each
-  // warm their own checkpoint.
-  EXPECT_GT(cache.stats().checkpoint_misses, 0u);
+  // Every window of the sweep has its own prefix (the iso-P2M window plus
+  // one iso-C2M and one colocated prefix per core count), so each warms
+  // its own checkpoint once.
+  EXPECT_EQ(cache.stats().checkpoint_misses, 2 * cores.size() + 1);
+  EXPECT_EQ(cache.stats().checkpoint_hits, 0u);
 }
 
 TEST(ForkSweep, FingerprintSeparatesEveryInput) {

@@ -2,6 +2,9 @@
 // determinism, and metric self-consistency.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "workloads/workloads.hpp"
@@ -153,6 +156,36 @@ TEST(Experiment, DefaultRunOptionsHonorEnv) {
   EXPECT_EQ(o.measure, us(123));
   EXPECT_EQ(o.warmup, us(45));
   unsetenv("HOSTNET_MEASURE_US");
+  unsetenv("HOSTNET_WARMUP_US");
+}
+
+TEST(Experiment, DefaultRunOptionsRejectMalformedEnv) {
+  // Each bad value must throw and name its variable; never become a 0 µs
+  // or negative window.
+  const struct {
+    const char* var;
+    const char* value;
+  } bad[] = {
+      {"HOSTNET_MEASURE_US", "abc"}, {"HOSTNET_MEASURE_US", "-5"},
+      {"HOSTNET_MEASURE_US", "0"},   {"HOSTNET_MEASURE_US", "12us"},
+      {"HOSTNET_MEASURE_US", ""},    {"HOSTNET_MEASURE_US", "nan"},
+      {"HOSTNET_MEASURE_US", "1e30"}, {"HOSTNET_WARMUP_US", "-1"},
+      {"HOSTNET_WARMUP_US", "x"},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(std::string(b.var) + "=" + b.value);
+    ASSERT_EQ(setenv(b.var, b.value, 1), 0);
+    try {
+      (void)default_run_options();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(b.var), std::string::npos) << e.what();
+    }
+    unsetenv(b.var);
+  }
+  // A zero warmup is a valid request (measure from a cold start).
+  setenv("HOSTNET_WARMUP_US", "0", 1);
+  EXPECT_EQ(default_run_options().warmup, 0);
   unsetenv("HOSTNET_WARMUP_US");
 }
 

@@ -1,6 +1,6 @@
-// Tests for the parallel sweep engine: the worker pool itself
-// (core/parallel.hpp) and the parallel experiment sweeps built on it
-// (bit-identical to the serial protocol, results in input order).
+// Tests for the parallel sweep engine: core::run_parallel itself
+// (core/parallel.hpp) and the sweep executor built on it, run_points and its
+// builders (bit-identical for any thread count, results in input order).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -107,11 +107,40 @@ TEST(RunParallel, ThrowingJobPropagatesWithoutDeadlock) {
           4),
       std::runtime_error);
 
-  // The pool is per-call: a subsequent run works normally.
+  // Every worker was joined before the rethrow: a subsequent run works
+  // normally.
   std::atomic<int> n{0};
   run_parallel(8, [&](std::size_t) { ++n; }, 4);
   EXPECT_EQ(n.load(), 8);
 }
+
+TEST(RunParallel, NestedCallRunsInlineWithoutDeadlock) {
+  // Every outer job starts an inner run_parallel. The inner call must run
+  // serially on the outer job's own thread (no new workers), and every
+  // inner job must run exactly once.
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 16;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> foreign_thread{0};
+  run_parallel(
+      kOuter,
+      [&](std::size_t o) {
+        const std::thread::id outer = std::this_thread::get_id();
+        run_parallel(
+            kInner,
+            [&](std::size_t i) {
+              if (std::this_thread::get_id() != outer) ++foreign_thread;
+              ++hits[o * kInner + i];
+            },
+            4);
+      },
+      4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign_thread.load(), 0);
+}
+
+// Each sweep entry point at threads=1 (the serial path) and threads=4 must
+// give bit-identical outcomes, in input order.
 
 TEST(ParallelSweep, TwoQuadrantColocationBitIdenticalToSerial) {
   const HostConfig host = cascade_lake();
@@ -126,12 +155,10 @@ TEST(ParallelSweep, TwoQuadrantColocationBitIdenticalToSerial) {
   P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
 
-  const std::vector<ColocationPoint> points{{host, read_spec, p2m}, {host, rw_spec, p2m}};
-  const auto par = run_colocation_points(points, opt, 4);
-  ASSERT_EQ(par.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto serial = run_colocation(points[i].host, points[i].c2m, points[i].p2m, opt);
-    expect_identical(par[i], serial);
+  for (const C2MSpec& c2m : {read_spec, rw_spec}) {
+    const ColocationOutcome serial = run_colocation(host, c2m, p2m, opt, 1);
+    const ColocationOutcome par = run_colocation(host, c2m, p2m, opt, 4);
+    expect_identical(par, serial);
   }
 }
 
@@ -145,33 +172,46 @@ TEST(ParallelSweep, CoreSweepBitIdenticalAndInInputOrder) {
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3};
 
-  const auto serial = sweep_c2m_cores(host, c2m, p2m, cores, opt);
-  const auto par = sweep_c2m_cores_parallel(host, c2m, p2m, cores, opt, 4);
+  const auto serial = sweep_c2m_cores(host, c2m, p2m, cores, opt, 1);
+  const auto par = sweep_c2m_cores(host, c2m, p2m, cores, opt, 4);
   ASSERT_EQ(par.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) expect_identical(par[i], serial[i]);
 
-  // Degradation must grow with core count in this quadrant, which doubles as
-  // an input-order check on the parallel results.
-  EXPECT_GT(par.back().colo.metrics.c2m_cores, par.front().colo.metrics.c2m_cores);
+  // Input order: each parallel window carries its own core count.
+  ASSERT_EQ(par.size(), cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    EXPECT_EQ(par[i].iso_c2m.metrics.c2m_cores, cores[i]);
+    EXPECT_EQ(par[i].colo.metrics.c2m_cores, cores[i]);
+  }
 }
 
 TEST(ParallelSweep, WorkloadPointsMatchDirectRuns) {
   const HostConfig host = cascade_lake();
   const RunOptions opt = fast_options();
 
-  C2MSpec c2m;
-  c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
-  c2m.cores = 1;
-  P2MSpec p2m;
-  p2m.storage = workloads::fio_p2m_read(host, workloads::p2m_region());
+  C2MSpec read_spec;
+  read_spec.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+  read_spec.cores = 2;
+  C2MSpec rw_spec;
+  rw_spec.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
+  rw_spec.cores = 2;
+  P2MSpec p2m_write;
+  p2m_write.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
+  P2MSpec p2m_read;
+  p2m_read.storage = workloads::fio_p2m_read(host, workloads::p2m_region());
 
-  const std::vector<WorkloadPoint> points{
-      {host, c2m, std::nullopt}, {host, std::nullopt, p2m}, {host, c2m, p2m}};
-  const auto par = run_workload_points(points, opt, 3);
+  const std::vector<WorkloadPoint> points{{host, read_spec, std::nullopt},
+                                          {host, std::nullopt, p2m_read},
+                                          {host, read_spec, p2m_read},
+                                          {host, rw_spec, p2m_write}};
+  const std::vector<RunOutcome> serial = run_points(points, opt, 1);
+  const std::vector<RunOutcome> par = run_points(points, opt, 4);
   ASSERT_EQ(par.size(), points.size());
+  ASSERT_EQ(serial.size(), points.size());
+  // run_points[i] is point i, checked against a direct single-window run.
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto serial = run_workloads(points[i].host, points[i].c2m, points[i].p2m, opt);
-    expect_identical(par[i], serial);
+    expect_identical(par[i], serial[i]);
+    expect_identical(par[i], run_workloads(points[i].host, points[i].c2m, points[i].p2m, opt));
   }
 }
 

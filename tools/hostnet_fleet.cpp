@@ -23,11 +23,19 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <scenario.fleet> [--threads N] [--mode fork|cold] [--json]\n"
-               "  --threads N   worker threads (default: HOSTNET_THREADS, else hardware)\n"
+               "  --threads N   worker threads, N >= 1 (default: HOSTNET_THREADS, else hardware)\n"
                "  --mode M      fork = warm once per fingerprint (default); cold = reference\n"
                "  --json        machine-readable report on stdout\n",
                argv0);
   return 2;
+}
+
+/// `--threads` takes a positive decimal integer (at most 9 digits), nothing
+/// else: no sign, no suffix. Returns 0 when `s` is not one.
+unsigned parse_threads(const std::string& s) {
+  if (s.empty() || s.size() > 9 || s.find_first_not_of("0123456789") != std::string::npos)
+    return 0;
+  return static_cast<unsigned>(std::stoul(s));
 }
 
 void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
@@ -68,7 +76,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      opt.threads = parse_threads(argv[++i]);
+      if (opt.threads == 0) return usage(argv[0]);
     } else if (arg == "--mode" && i + 1 < argc) {
       const std::string m = argv[++i];
       if (m == "fork") opt.mode = core::SweepMode::kFork;
