@@ -40,7 +40,7 @@ scripts/format_check.sh
 step "2/8 hostnet-lint (with stale-suppression sweep)"
 python3 tools/hostnet_lint.py --stale
 
-step "3/8 hostnet-audit (snapshot coverage / pool registration / purity)"
+step "3/8 hostnet-audit (snapshot coverage / pool registration / purity / config tables)"
 python3 tools/hostnet_audit.py
 
 step "4/8 clang-tidy build"

@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
+#include "core/config_fields.hpp"
 #include "core/parallel.hpp"
 
 namespace hostnet::core {
@@ -29,28 +28,26 @@ TcpFactory installed_tcp_factory = nullptr;
 void set_tcp_factory(TcpFactory f) { installed_tcp_factory = f; }
 TcpFactory tcp_factory() { return installed_tcp_factory; }
 
-namespace {
-
-/// A measurement-window length from environment variable `name` in µs
-/// (`fallback` when unset). The whole token must parse as a finite number
-/// that fits a Tick; zero passes only when `allow_zero`.
-Tick env_us(const char* name, Tick fallback, bool allow_zero) {
-  const char* e = std::getenv(name);
-  if (!e) return fallback;
+std::optional<Tick> parse_duration(const char* text, Tick unit, bool allow_zero) {
   char* end = nullptr;
-  const double v = std::strtod(e, &end);
-  const double max_us = static_cast<double>(std::numeric_limits<Tick>::max()) / kMicrosecond;
-  if (end == e || *end != '\0' || !std::isfinite(v) || v < 0 || v >= max_us ||
-      (!allow_zero && us(v) <= 0))
+  const double v = std::strtod(text, &end);
+  const double max = static_cast<double>(std::numeric_limits<Tick>::max()) / unit;
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0 || v >= max) return std::nullopt;
+  const auto t = static_cast<Tick>(v * static_cast<double>(unit));
+  if (!allow_zero && t <= 0) return std::nullopt;
+  return t;
+}
+
+RunOptions default_run_options() {
+  // A window length from environment variable `name` in µs, or `fallback`.
+  const auto env_us = [](const char* name, Tick fallback, bool allow_zero) {
+    const char* e = std::getenv(name);
+    if (!e) return fallback;
+    if (const std::optional<Tick> t = parse_duration(e, kMicrosecond, allow_zero)) return *t;
     throw std::invalid_argument(std::string(name) + "=\"" + e + "\": expected a " +
                                 (allow_zero ? "non-negative" : "positive") +
                                 " number of microseconds");
-  return us(v);
-}
-
-}  // namespace
-
-RunOptions default_run_options() {
+  };
   RunOptions o;
   o.measure = env_us("HOSTNET_MEASURE_US", o.measure, false);
   o.warmup = env_us("HOSTNET_WARMUP_US", o.warmup, true);
@@ -69,134 +66,6 @@ void add_c2m(HostSystem& host, const C2MSpec& spec) {
 
 bool episodic(const C2MSpec& spec) {
   return spec.workload.episode_reads + spec.workload.episode_writes > 0;
-}
-
-// -- config fingerprint -------------------------------------------------------
-// Field-by-field canonical byte encoding. Whole-struct memcpy would pull in
-// padding bytes (indeterminate), so every field is appended individually;
-// enums and bools go through their value representation of fixed width.
-
-template <class T>
-void enc(std::string& s, T v) {
-  static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  s.append(buf, sizeof(T));
-}
-
-void enc_str(std::string& s, const std::string& v) {
-  enc(s, static_cast<std::uint64_t>(v.size()));
-  s.append(v);
-}
-
-void enc_region(std::string& s, const mem::Region& r) {
-  enc(s, r.base);
-  enc(s, r.bytes);
-}
-
-void enc_timing(std::string& s, const dram::Timing& t) {
-  enc(s, t.t_trans);
-  enc(s, t.t_cas);
-  enc(s, t.t_rcd);
-  enc(s, t.t_rp);
-  enc(s, t.t_wtr);
-  enc(s, t.t_rtw);
-  enc(s, t.t_ras);
-  enc(s, t.t_wr);
-  enc(s, t.t_page_close_idle);
-}
-
-void enc_host(std::string& s, const HostConfig& c) {
-  enc_str(s, c.name);
-  enc(s, c.total_cores);
-  enc(s, c.core_ghz);
-  enc(s, c.dram.channels);
-  enc(s, c.dram.banks_per_channel);
-  enc(s, c.dram.row_bytes);
-  enc(s, c.dram.channel_interleave_bytes);
-  enc(s, c.dram.bank_interleave_bytes);
-  enc(s, static_cast<std::uint8_t>(c.dram.hash));
-  enc(s, c.mc.rpq_capacity);
-  enc(s, c.mc.wpq_capacity);
-  enc(s, c.mc.wpq_high_wm);
-  enc(s, c.mc.wpq_low_wm);
-  enc(s, c.mc.max_write_age);
-  enc(s, c.mc.dwell_per_queued_read);
-  enc(s, c.mc.read_dwell_cap);
-  enc(s, c.mc.prep_window);
-  enc_timing(s, c.mc.timing);
-  enc(s, c.cha.read_tor);
-  enc(s, c.cha.write_tracker);
-  enc(s, c.cha.read_fwd_window);
-  enc(s, c.cha.write_fwd_window);
-  enc(s, c.cha.t_read_proc);
-  enc(s, c.cha.t_write_proc);
-  enc(s, c.cha.t_read_fwd);
-  enc(s, c.cha.t_write_fwd);
-  enc(s, c.cha.t_write_ack);
-  enc(s, c.cha.t_return_core);
-  enc(s, c.cha.t_return_iio);
-  enc(s, c.cha.ddio);
-  enc(s, c.cha.ddio_capacity_bytes);
-  enc(s, c.cha.ddio_ways);
-  enc(s, c.cha.peripheral_write_priority);
-  enc(s, c.cha.write_tracker_peripheral_reserve);
-  enc(s, c.core.lfb_entries);
-  enc(s, c.core.prefetch_extra);
-  enc(s, c.core.t_core_to_cha);
-  enc(s, c.core.t_wb_to_cha);
-  enc(s, c.iio.write_credits);
-  enc(s, c.iio.read_credits);
-  enc(s, c.iio.t_proc_write);
-  enc(s, c.iio.t_proc_read);
-  enc(s, c.iio.t_to_cha);
-  enc(s, c.iio.t_complete_read);
-  enc(s, c.pcie_write_gb_per_s);
-  enc(s, c.pcie_read_gb_per_s);
-}
-
-void enc_c2m(std::string& s, const std::optional<C2MSpec>& c2m) {
-  enc(s, static_cast<std::uint8_t>(c2m.has_value()));
-  if (!c2m) return;
-  enc_str(s, c2m->name);
-  enc(s, static_cast<std::uint8_t>(c2m->workload.pattern));
-  enc_region(s, c2m->workload.region);
-  enc(s, c2m->workload.write_fraction);
-  enc(s, c2m->workload.think);
-  enc(s, c2m->workload.episode_reads);
-  enc(s, c2m->workload.episode_writes);
-  enc(s, c2m->workload.episode_compute);
-  enc(s, c2m->workload.episodes_per_query);
-  enc(s, c2m->cores);
-  enc(s, c2m->per_core_region);
-  enc(s, c2m->region_stride);
-}
-
-void enc_p2m(std::string& s, const std::optional<P2MSpec>& p2m) {
-  enc(s, static_cast<std::uint8_t>(p2m.has_value()));
-  if (!p2m) return;
-  enc_str(s, p2m->name);
-  enc(s, static_cast<std::uint8_t>(p2m->storage.has_value()));
-  if (p2m->storage) {
-    const iio::StorageConfig& sc = *p2m->storage;
-    enc(s, static_cast<std::uint8_t>(sc.host_op));
-    enc(s, sc.request_bytes);
-    enc(s, sc.queue_depth);
-    enc(s, sc.link_gb_per_s);
-    enc(s, sc.per_request_latency);
-    enc_region(s, sc.region);
-    enc(s, sc.mixed_fraction);
-  }
-  enc(s, static_cast<std::uint8_t>(p2m->tcp.has_value()));
-  if (p2m->tcp) {
-    const TcpSpec& tc = *p2m->tcp;
-    enc(s, static_cast<std::uint8_t>(tc.stack));
-    enc(s, tc.wire_gb_per_s);
-    enc(s, tc.mtu_bytes);
-    enc(s, tc.copy_cores);
-    enc(s, tc.ring_packets);
-    enc(s, tc.base_rtt);
-  }
 }
 
 /// Build the transport requested by `p2m` (nullptr when none). Must run at
@@ -220,11 +89,30 @@ std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSp
                                Tick warmup) {
   std::string s;
   s.reserve(256);
-  enc_host(s, host);
-  enc_c2m(s, c2m);
-  enc_p2m(s, p2m);
-  enc(s, seed);
-  enc(s, warmup);
+  // Each field's bytes, one by one (whole-struct bytes would include
+  // indeterminate padding); strings carry their length, so no two differing
+  // field lists encode alike.
+  const auto enc = [&s](std::string_view, const auto& f, FieldUnit = FieldUnit::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    if constexpr (std::is_same_v<F, std::string>) {
+      const auto n = static_cast<std::uint64_t>(f.size());
+      s.append(reinterpret_cast<const char*>(&n), sizeof(n)).append(f);
+    } else {
+      static_assert(std::is_arithmetic_v<F> || std::is_enum_v<F>);
+      s.append(reinterpret_cast<const char*>(&f), sizeof(F));
+    }
+  };
+  visit_fields(host, enc);
+  enc({}, c2m.has_value());
+  if (c2m) visit_fields(*c2m, enc);
+  enc({}, p2m.has_value());
+  if (p2m) {
+    enc({}, p2m->storage.has_value());
+    enc({}, p2m->tcp.has_value());
+    visit_fields(*p2m, enc);
+  }
+  enc({}, seed);
+  enc({}, warmup);
   return s;
 }
 

@@ -98,8 +98,13 @@ struct RunOptions {
 /// Reads the default measurement window, honoring HOSTNET_MEASURE_US and
 /// HOSTNET_WARMUP_US environment overrides (useful to shorten CI runs).
 /// Throws std::invalid_argument naming the variable when a set value is not
-/// a number (the whole token) of microseconds > 0 (measure) or >= 0 (warmup).
+/// a parse_duration() of microseconds > 0 (measure) or >= 0 (warmup).
 RunOptions default_run_options();
+
+/// The whole of `text` as a duration of `unit` ticks: a finite number >= 0
+/// (> 0 unless `allow_zero`) whose ticks fit a Tick; nullopt otherwise.
+/// Window lengths and Tick-valued scenario `set`s all follow this rule.
+std::optional<Tick> parse_duration(const char* text, Tick unit, bool allow_zero);
 
 struct RunOutcome {
   Metrics metrics{};
@@ -131,11 +136,11 @@ enum class SweepMode : std::uint8_t {
   kFork,  ///< fork from the caller's SweepCache (cold when it is null)
 };
 
-/// Canonical fingerprint of one simulation configuration: every field of
-/// the host config and workload specs plus seed and warmup, encoded
-/// field-by-field (never whole-struct memcpy -- padding bytes are
-/// indeterminate). Equal fingerprints guarantee identical construction and
-/// warmup; used as the SweepCache checkpoint key.
+/// Canonical fingerprint of one simulation configuration: every
+/// visit_fields() leaf (core/config_fields.hpp) of the host config and
+/// workload specs, which optional specs are present, seed and warmup. Equal
+/// fingerprints guarantee identical construction and warmup; used as the
+/// SweepCache checkpoint key.
 std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSpec>& c2m,
                                const std::optional<P2MSpec>& p2m, std::uint64_t seed,
                                Tick warmup);

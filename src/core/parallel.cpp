@@ -1,19 +1,30 @@
 #include "core/parallel.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
 
 namespace hostnet::core {
 
+unsigned parse_threads(std::string_view text) {
+  unsigned v = 0;
+  const char* end = text.data() + text.size();
+  const auto [last, ec] = std::from_chars(text.data(), end, v);
+  return ec == std::errc{} && last == end && text.size() <= 9 ? v : 0;
+}
+
 unsigned parallel_threads() {
   if (const char* e = std::getenv("HOSTNET_THREADS")) {
-    const long v = std::atol(e);
-    if (v >= 1) return static_cast<unsigned>(v);
+    if (const unsigned n = parse_threads(e)) return n;
+    throw std::invalid_argument(std::string("HOSTNET_THREADS=\"") + e +
+                                "\": expected a positive integer");
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;

@@ -18,11 +18,18 @@
 
 #include <cstddef>
 #include <functional>
+#include <string_view>
 
 namespace hostnet::core {
 
+/// A thread count as text: a positive decimal integer of at most 9 digits,
+/// nothing else (no sign, no suffix). Returns 0 when `text` is not one.
+unsigned parse_threads(std::string_view text);
+
 /// Worker threads to use for parallel sweeps: the HOSTNET_THREADS
-/// environment variable if set (min 1), else hardware_concurrency().
+/// environment variable if set, else hardware_concurrency(). Throws
+/// std::invalid_argument naming the variable when its value is not a
+/// parse_threads() count.
 unsigned parallel_threads();
 
 /// Run `body(0) .. body(count-1)` across `nthreads` workers (0 = use

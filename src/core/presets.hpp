@@ -64,17 +64,19 @@ struct HostConfig {
       return "dram.bank_interleave_bytes must be a power of two >= 64";
     if (dram.bank_interleave_bytes > dram.row_bytes)
       return "dram.bank_interleave_bytes cannot exceed dram.row_bytes";
-    if (mc.wpq_high_wm >= mc.wpq_capacity) return "wpq_high_wm must be below wpq_capacity";
-    if (mc.wpq_low_wm >= mc.wpq_high_wm) return "wpq_low_wm must be below wpq_high_wm";
-    if (mc.rpq_capacity == 0 || mc.wpq_capacity == 0) return "MC queues need capacity";
+    if (mc.wpq_high_wm >= mc.wpq_capacity) return "mc.wpq_high_wm must be below mc.wpq_capacity";
+    if (mc.wpq_low_wm >= mc.wpq_high_wm) return "mc.wpq_low_wm must be below mc.wpq_high_wm";
+    if (mc.rpq_capacity == 0) return "mc.rpq_capacity must be positive";
     if (core.lfb_entries == 0) return "core.lfb_entries must be positive";
-    if (iio.write_credits == 0 || iio.read_credits == 0) return "IIO needs credits";
-    if (cha.read_tor == 0 || cha.write_tracker == 0) return "CHA needs tracker entries";
+    if (iio.write_credits == 0 || iio.read_credits == 0)
+      return "iio.write_credits and iio.read_credits must be positive";
+    if (cha.read_tor == 0 || cha.write_tracker == 0)
+      return "cha.read_tor and cha.write_tracker must be positive";
     if (cha.write_tracker_peripheral_reserve > cha.write_tracker)
-      return "peripheral reserve exceeds the write tracker";
+      return "cha.write_tracker_peripheral_reserve cannot exceed cha.write_tracker";
     if (pcie_write_gb_per_s <= 0 || pcie_read_gb_per_s <= 0)
-      return "PCIe bandwidth must be positive";
-    if (mc.timing.t_trans <= 0) return "tTrans must be positive";
+      return "pcie_write_gb_per_s and pcie_read_gb_per_s must be positive";
+    if (mc.timing.t_trans <= 0) return "mc.timing.t_trans must be positive";
     return {};
   }
 

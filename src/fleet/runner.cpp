@@ -1,5 +1,6 @@
 #include "fleet/runner.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/table.hpp"
@@ -66,6 +67,9 @@ FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
     shards[s].hosts.push_back(hi);
   }
 
+  // run_parallel runs at most one worker per shard.
+  const unsigned requested = opt.threads ? opt.threads : core::parallel_threads();
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(requested, shards.size()));
   std::vector<FleetAggregate> aggs(shards.size(), FleetAggregate(sc.tenants().size()));
   std::vector<core::SweepCache::Stats> cache_stats(shards.size());
   core::run_parallel(
@@ -82,14 +86,14 @@ FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
         }
         cache_stats[s] = cache.stats();
       },
-      opt.threads);
+      threads);
 
   FleetReport r;
   r.scenario = sc.name();
   r.hosts = hosts.size();
   r.fingerprints = shards.size();
   r.shards = shards.size();
-  r.threads = opt.threads ? opt.threads : core::parallel_threads();
+  r.threads = std::max(1u, threads);
   r.agg = FleetAggregate(sc.tenants().size());
   for (const FleetAggregate& a : aggs) r.agg.merge(a);
   for (const core::SweepCache::Stats& s : cache_stats) r.cache.add(s);

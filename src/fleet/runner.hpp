@@ -47,7 +47,7 @@ struct FleetReport {
   std::uint64_t hosts = 0;
   std::size_t fingerprints = 0;    ///< distinct config fingerprints (= shards)
   std::size_t shards = 0;
-  unsigned threads = 0;            ///< worker threads the run admitted
+  unsigned threads = 0;            ///< workers the run used: min(requested, shards)
   FleetAggregate agg;
   core::SweepCache::Stats cache;   ///< summed over shards (zero in cold mode)
 };

@@ -1,10 +1,14 @@
 #include "fleet/scenario.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "core/config_fields.hpp"
 #include "net/tcp_stack.hpp"
 #include "workloads/workloads.hpp"
 
@@ -27,52 +31,56 @@ std::vector<std::string> tokenize(std::string_view line) {
 }
 
 std::uint64_t parse_u64(std::size_t line, const std::string& tok, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string(what) + " expects an unsigned integer, got '" + tok + "'");
-  return static_cast<std::uint64_t>(v);
+  std::uint64_t v = 0;
+  const char* end = tok.data() + tok.size();
+  if (const auto [last, ec] = std::from_chars(tok.data(), end, v); ec == std::errc{} && last == end)
+    return v;
+  throw ScenarioError(line, std::string(what) + " expects an unsigned integer, got '" + tok + "'");
 }
 
 double parse_f64(std::size_t line, const std::string& tok, const char* what) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string(what) + " expects a number, got '" + tok + "'");
+  if (end == tok.c_str() || *end != '\0' || !std::isfinite(v))
+    throw ScenarioError(line, std::string(what) + " expects a finite number, got '" + tok + "'");
   return v;
 }
 
-/// `set <key> <value>` override table: the host-config fields a scenario may
-/// vary. Kept deliberately explicit -- an unknown key is a line-tagged error,
-/// not a silently-ignored typo.
+/// A duration in `unit` ticks by core::parse_duration's rule (the one
+/// HOSTNET_*_US values follow).
+Tick parse_ticks(std::size_t line, const std::string& tok, const char* what, Tick unit,
+                 bool allow_zero) {
+  if (const std::optional<Tick> t = core::parse_duration(tok.c_str(), unit, allow_zero)) return *t;
+  throw ScenarioError(line, std::string(what) + " expects a " +
+                                (allow_zero ? "non-negative" : "positive") + " number of " +
+                                (unit == kNanosecond ? "ns" : "us") + ", got '" + tok + "'");
+}
+
+/// `set <path> <value>`: one typed lookup over the HostConfig field table
+/// (core/config_fields.hpp), comparing `key` against its literal paths.
 void apply_set(std::size_t line, core::HostConfig& h, const std::string& key,
                const std::string& val) {
-  auto u32 = [&] { return static_cast<std::uint32_t>(parse_u64(line, val, key.c_str())); };
-  auto f64 = [&] { return parse_f64(line, val, key.c_str()); };
-  if (key == "total_cores") h.total_cores = u32();
-  else if (key == "core_ghz") h.core_ghz = f64();
-  else if (key == "dram.channels") h.dram.channels = u32();
-  else if (key == "dram.banks_per_channel") h.dram.banks_per_channel = u32();
-  else if (key == "mc.rpq_capacity") h.mc.rpq_capacity = u32();
-  else if (key == "mc.wpq_capacity") h.mc.wpq_capacity = u32();
-  else if (key == "mc.wpq_high_wm") h.mc.wpq_high_wm = u32();
-  else if (key == "mc.wpq_low_wm") h.mc.wpq_low_wm = u32();
-  else if (key == "cha.read_tor") h.cha.read_tor = u32();
-  else if (key == "cha.write_tracker") h.cha.write_tracker = u32();
-  else if (key == "cha.write_tracker_peripheral_reserve")
-    h.cha.write_tracker_peripheral_reserve = u32();
-  else if (key == "cha.peripheral_write_priority") h.cha.peripheral_write_priority = u32() != 0;
-  else if (key == "cha.ddio") h.cha.ddio = u32() != 0;
-  else if (key == "cha.ddio_ways") h.cha.ddio_ways = u32();
-  else if (key == "cha.ddio_capacity_bytes") h.cha.ddio_capacity_bytes = parse_u64(line, val, key.c_str());
-  else if (key == "core.lfb_entries") h.core.lfb_entries = u32();
-  else if (key == "core.prefetch_extra") h.core.prefetch_extra = u32();
-  else if (key == "iio.write_credits") h.iio.write_credits = u32();
-  else if (key == "iio.read_credits") h.iio.read_credits = u32();
-  else if (key == "pcie_write_gb_per_s") h.pcie_write_gb_per_s = f64();
-  else if (key == "pcie_read_gb_per_s") h.pcie_read_gb_per_s = f64();
-  else
-    throw ScenarioError(line, "unknown set key '" + key + "'");
+  bool found = false;
+  core::visit_fields(h, [&](std::string_view path, auto& field, core::FieldUnit unit = {}) {
+    if (found || path != key) return;
+    found = true;
+    using F = std::remove_reference_t<decltype(field)>;
+    const char* what = key.c_str();
+    if constexpr (std::is_unsigned_v<F>) {  // bools too: 0 or 1
+      const std::uint64_t v = parse_u64(line, val, what);
+      constexpr F max = std::numeric_limits<F>::max();
+      if (v > max) throw ScenarioError(line, key + " must be <= " + std::to_string(max));
+      field = static_cast<F>(v);
+    } else if constexpr (std::is_same_v<F, Tick>) {
+      const bool in_ns = unit == core::FieldUnit::kNs;
+      field = parse_ticks(line, val, what, in_ns ? kNanosecond : 1, true);
+    } else if constexpr (std::is_floating_point_v<F>) {
+      field = parse_f64(line, val, what);
+    } else {
+      throw ScenarioError(line, "set key '" + key + "' is not settable (not a number or bool)");
+    }
+  });
+  if (!found) throw ScenarioError(line, "unknown set key '" + key + "'");
 }
 
 /// C2M workload zoo lookup (workloads/workloads.hpp). Shared-graph
@@ -155,10 +163,10 @@ class ScenarioParser {
       sc_.base_opt_.seed = sc_.seed_;
     } else if (kw == "warmup_us") {
       expect_args(line, t, 1, "warmup_us <f>");
-      sc_.base_opt_.warmup = us(parse_f64(line, t[1], "warmup_us"));
+      sc_.base_opt_.warmup = parse_ticks(line, t[1], "warmup_us", kMicrosecond, true);
     } else if (kw == "measure_us") {
       expect_args(line, t, 1, "measure_us <f>");
-      sc_.base_opt_.measure = us(parse_f64(line, t[1], "measure_us"));
+      sc_.base_opt_.measure = parse_ticks(line, t[1], "measure_us", kMicrosecond, false);
     } else if (kw == "measure_jitter_pct") {
       expect_args(line, t, 1, "measure_jitter_pct <f>");
       sc_.measure_jitter_pct_ = parse_f64(line, t[1], "measure_jitter_pct");
@@ -201,7 +209,7 @@ class ScenarioParser {
         throw ScenarioError(line, "unknown preset '" + t[1] + "' (want cascade-lake or ice-lake)");
       tmpl_.preset = t[1];
     } else if (kw == "set") {
-      expect_args(line, t, 2, "set <key> <value>");
+      expect_args(line, t, 2, "set <path> <value>");
       if (t[1] == "tcp.stack") {
         // Transport knob, not a HostConfig field; resolved at 'end' against
         // the template's tcp_* p2m placement.
@@ -243,31 +251,23 @@ class ScenarioParser {
   }
 
   void finish_template(std::size_t line) {
+    std::optional<core::TcpSpec> tcp = net::tcp_p2m_workload(p2m_workload_);
+    if (!tcp_stack_override_.empty()) {
+      if (!tcp)
+        throw ScenarioError(tcp_stack_line_,
+                            "'set tcp.stack' needs a tcp_* p2m placement in this template");
+      const std::optional<core::TcpStackKind> kind = net::tcp_stack_kind(tcp_stack_override_);
+      if (!kind)
+        throw ScenarioError(tcp_stack_line_, "unknown tcp.stack '" + tcp_stack_override_ +
+                                                 "' (want dctcp, bbr or davis)");
+      tcp = net::tcp_spec(*kind);
+    }
     if (!p2m_workload_.empty()) {
       core::P2MSpec spec;
-      spec.name = p2m_workload_;
-      if (std::optional<core::TcpSpec> tcp = net::tcp_p2m_workload(p2m_workload_)) {
-        if (!tcp_stack_override_.empty()) {
-          const std::optional<core::TcpStackKind> kind =
-              net::tcp_stack_kind(tcp_stack_override_);
-          if (!kind)
-            throw ScenarioError(tcp_stack_line_, "unknown tcp.stack '" + tcp_stack_override_ +
-                                                     "' (want dctcp, bbr or davis)");
-          tcp->stack = *kind;
-          tcp->name = "tcp_" + core::to_string(*kind);
-          spec.name = tcp->name;
-        }
-        spec.tcp = std::move(tcp);
-      } else {
-        if (!tcp_stack_override_.empty())
-          throw ScenarioError(tcp_stack_line_,
-                              "'set tcp.stack' needs a tcp_* p2m placement in this template");
-        spec.storage = p2m_workload(p2m_line_, tmpl_.host, p2m_workload_);
-      }
+      spec.name = tcp ? tcp->name : p2m_workload_;
+      if (tcp) spec.tcp = std::move(tcp);
+      else spec.storage = p2m_workload(p2m_line_, tmpl_.host, p2m_workload_);
       tmpl_.p2m = spec;
-    } else if (!tcp_stack_override_.empty()) {
-      throw ScenarioError(tcp_stack_line_,
-                          "'set tcp.stack' needs a tcp_* p2m placement in this template");
     }
     if (!tmpl_.c2m && !tmpl_.p2m)
       throw ScenarioError(line, "template '" + tmpl_.name + "' places no workload (add c2m/p2m)");

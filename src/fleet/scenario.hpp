@@ -15,7 +15,8 @@
 //
 //   template <name>                   # a host configuration to replicate
 //     preset cascade-lake|ice-lake    # Table-1 testbed base (default CLX)
-//     set <key> <value>               # HostConfig override (see kSetKeys)
+//     set <path> <value>              # any number/bool HostConfig leaf by its
+//                                     #   visit_fields path; Tick fields in ns
 //     set tcp.stack dctcp|bbr|davis   # CC stack for a tcp_* p2m placement
 //     seed <u64>                      # per-template seed override
 //     c2m <tenant> <workload> [cores=<n>]   # compute tenant placement

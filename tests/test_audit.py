@@ -87,6 +87,18 @@ class BadFixtures(unittest.TestCase):
         self.assert_findings(fixture("bad_stale_allow.cpp"),
                              {"stale-allow": 1})
 
+    def test_config_unvisited(self):
+        # A nested member the HostConfig table misses; the optional-held
+        # P2MSpec storage struct is fully visited and stays quiet.
+        self.assert_findings(fixture("bad_config_unvisited.cpp"),
+                             {"config-unvisited": 1})
+
+    def test_config_bad_path(self):
+        # A path naming no member and a path visiting another member; the
+        # member neither visits is then unvisited.
+        self.assert_findings(fixture("bad_config_path.cpp"),
+                             {"config-bad-path": 2, "config-unvisited": 1})
+
     def test_handler_purity(self):
         # The src/sim path component puts the fixture in a handler subsystem.
         self.assert_findings(fixture("src", "sim", "bad_handler_static.cpp"),
@@ -180,6 +192,7 @@ class ToolInterface(unittest.TestCase):
                       "snapshot-asymmetry", "snapshot-skip",
                       "snapshot-dead-skip", "pool-unregistered",
                       "handler-static-state", "handler-global-state",
+                      "config-unvisited", "config-bad-path",
                       "manifest-drift", "stale-allow", "bad-directive"):
             self.assertIn(check, res.stdout)
 

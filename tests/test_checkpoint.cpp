@@ -431,14 +431,7 @@ TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   EXPECT_NE(base, config_fingerprint(p.host, p.c2m, p.p2m, opt.seed, opt.warmup + 1));
   EXPECT_NE(base, config_fingerprint(p.host, p.c2m, std::nullopt, opt.seed, opt.warmup));
   EXPECT_NE(base, config_fingerprint(p.host, std::nullopt, p.p2m, opt.seed, opt.warmup));
-
-  HostConfig other = p.host;
-  other.dram.channels += 1;
-  EXPECT_NE(base, config_fingerprint(other, p.c2m, p.p2m, opt.seed, opt.warmup));
-
-  C2MSpec more_cores = *p.c2m;
-  more_cores.cores += 1;
-  EXPECT_NE(base, config_fingerprint(p.host, more_cores, p.p2m, opt.seed, opt.warmup));
+  // Every config field: ConfigFields.EveryLeafChangesTheFingerprint.
 }
 
 }  // namespace

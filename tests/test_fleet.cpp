@@ -5,9 +5,15 @@
 // the fingerprint dedup actually happens.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.hpp"
+#include "core/config_fields.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/scenario.hpp"
 
@@ -131,6 +137,133 @@ TEST(FleetScenario, NegativeCasesCarryLineNumbers) {
   EXPECT_EQ(error_line("fleet f\ntemplate t\n  set tcp.stack reno\n  p2m a tcp_dctcp\nend\nhosts 1 t\n"), 3u);
   EXPECT_EQ(error_line("fleet f\ntemplate t\n  set tcp.stack bbr\n  c2m a c2m_read\nend\nhosts 1 t\n"), 3u);
   EXPECT_EQ(error_line("fleet f\ntemplate t\n  set tcp.stack bbr\n  p2m a fio_write\nend\nhosts 1 t\n"), 3u);
+}
+
+TEST(FleetScenario, NumericInputIsWholeAndInRange) {
+  const std::string tmpl = "template t\n  c2m a c2m_read\nend\n";
+  // Window lengths follow the HOSTNET_*_US rule: finite, warmup >= 0,
+  // measure > 0, fits a Tick.
+  EXPECT_EQ(error_line("fleet f\nwarmup_us -5\n"), 2u);
+  EXPECT_EQ(error_line("fleet f\nmeasure_us 0\n"), 2u);
+  EXPECT_EQ(error_line("fleet f\nmeasure_us nan\n"), 2u);
+  EXPECT_EQ(error_line("fleet f\nwarmup_us 1e30\n"), 2u);
+  EXPECT_EQ(error_line("fleet f\nmeasure_jitter_pct nan\n"), 2u);
+  // Unsigned values take no sign and must fit: `hosts -1` once asked for
+  // 2^64 - 1 hosts (parsed only, never run).
+  EXPECT_EQ(error_line("fleet f\n" + tmpl + "hosts -1 t\n"), 5u);
+  EXPECT_EQ(error_line("fleet f\n" + tmpl + "hosts 18446744073709551616 t\n"), 5u);
+  EXPECT_EQ(error_line("fleet f\nseed -3\n"), 2u);
+  EXPECT_EQ(error_line("fleet f\ntemplate t\n  c2m a c2m_read cores=-1\nend\n"), 3u);
+  // `set` values are checked against the field's own type and width.
+  const auto set_line = [](const std::string& set) {
+    return error_line("fleet f\ntemplate t\n  " + set + "\n  c2m a c2m_read\nend\nhosts 1 t\n");
+  };
+  EXPECT_EQ(set_line("set mc.rpq_capacity 4294967344"), 3u);  // once wrapped to 48
+  EXPECT_EQ(set_line("set core.lfb_entries -1"), 3u);         // once std::bad_alloc
+  EXPECT_EQ(set_line("set cha.ddio 2"), 3u);
+  EXPECT_EQ(set_line("set core_ghz inf"), 3u);
+  EXPECT_EQ(set_line("set mc.timing.t_wtr -1"), 3u);
+  EXPECT_EQ(set_line("set cha.ddio_capacity_bytes 18446744073709551616"), 3u);
+  EXPECT_EQ(set_line("set mc.rpq_capacity +4"), 3u);
+  EXPECT_EQ(set_line("set mc.rpq_capacity 4x"), 3u);
+  EXPECT_EQ(set_line("set cha.ddio yes"), 3u);
+  EXPECT_EQ(set_line("set core_ghz nan"), 3u);
+  EXPECT_EQ(set_line("set mc.timing.t_wtr 1e30"), 3u);
+  EXPECT_EQ(set_line("set mc.timing.t_wtr 10ns"), 3u);
+  EXPECT_EQ(set_line("set mc 1"), 3u);        // a struct, not a leaf
+  EXPECT_EQ(set_line("set name other"), 3u);  // strings and enums are not settable
+  EXPECT_EQ(set_line("set dram.hash 0"), 3u);
+  // A set that parses but breaks the config fails at `end`, naming the field
+  // by the same path.
+  try {
+    fleet::Scenario::parse("fleet f\ntemplate t\n  set mc.wpq_high_wm 24\n  c2m a c2m_read\n"
+                           "end\nhosts 1 t\n");
+    ADD_FAILURE() << "accepted mc.wpq_high_wm == mc.wpq_capacity";
+  } catch (const fleet::ScenarioError& e) {
+    EXPECT_EQ(e.line(), 5u);
+    EXPECT_NE(std::string(e.what()).find("mc.wpq_high_wm must be below mc.wpq_capacity"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// New values for a HostConfig leaf as `set` text, each with the value it
+/// must parse to; none for strings and enums (not settable).
+template <class F>
+std::vector<std::pair<std::string, F>> set_candidates(const F& f) {
+  if constexpr (std::is_same_v<F, bool>) {
+    return {{f ? "0" : "1", !f}};
+  } else if constexpr (std::is_unsigned_v<F>) {
+    return {{std::to_string(f + 1), static_cast<F>(f + 1)},
+            {std::to_string(f * 2), static_cast<F>(f * 2)},
+            {std::to_string(f / 2), static_cast<F>(f / 2)}};
+  } else if constexpr (std::is_same_v<F, Tick>) {
+    const Tick whole_ns = f / kNanosecond + 1;  // Tick fields take ns
+    return {{std::to_string(whole_ns), whole_ns * kNanosecond}};
+  } else if constexpr (std::is_floating_point_v<F>) {
+    const F v = f * 1.5 + 1;
+    char buf[32];
+    return {{std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr), v}};
+  } else {
+    return {};
+  }
+}
+
+TEST(FleetScenario, SetRoundTripsEveryNumberAndBoolLeaf) {
+  // For every HostConfig leaf of the field table: `set <path> <value>` with
+  // a new value that keeps the config valid must yield exactly the config
+  // with that one leaf changed.
+  const core::HostConfig base = core::cascade_lake();
+  const auto fp = [](const core::HostConfig& h) {
+    return core::config_fingerprint(h, std::nullopt, std::nullopt, 1, 0);
+  };
+  std::size_t leaves = 0, settable = 0;
+  core::visit_fields(base, [&](std::string_view, const auto&, core::FieldUnit = {}) { ++leaves; });
+  for (std::size_t i = 0; i < leaves; ++i) {
+    core::HostConfig expected = base;
+    std::string path, text;
+    bool can_set = false;
+    std::size_t k = 0;
+    core::visit_fields(expected, [&](std::string_view p, auto& f, core::FieldUnit = {}) {
+      if (k++ != i) return;
+      path = p;
+      const auto original = f;
+      for (const auto& [t, v] : set_candidates(f)) {
+        can_set = true;
+        f = v;
+        text = t;
+        if (expected.validate().empty()) return;
+      }
+      f = original;
+      text.clear();
+    });
+    const std::string scenario = "fleet f\ntemplate t\n  set " + path + " " +
+                                 (can_set ? text : "1") + "\n  c2m a c2m_read\nend\nhosts 1 t\n";
+    SCOPED_TRACE(scenario);
+    if (!can_set) {
+      EXPECT_EQ(error_line(scenario), 3u);
+      continue;
+    }
+    ASSERT_FALSE(text.empty()) << "no valid new value for " << path;
+    ++settable;
+    const fleet::Scenario sc = fleet::Scenario::parse(scenario);
+    EXPECT_EQ(fp(sc.templates()[0].host), fp(expected));
+    EXPECT_NE(fp(expected), fp(base));
+  }
+  EXPECT_EQ(settable, leaves - 2);  // all but `name` and `dram.hash`
+}
+
+TEST(FleetScenario, SetReachesEveryNumericLeafByPath) {
+  const fleet::Scenario sc = fleet::Scenario::parse(
+      "fleet f\ntemplate t\n  set mc.timing.t_wtr 7.5\n  set cha.t_return_iio 0\n"
+      "  set iio.t_to_cha 41\n  set pcie_read_gb_per_s 9.25\n  set cha.ddio 1\n"
+      "  c2m a c2m_read\nend\nhosts 1 t\n");
+  const core::HostConfig& h = sc.templates()[0].host;
+  EXPECT_EQ(h.mc.timing.t_wtr, ns(7.5));  // Tick fields take nanoseconds
+  EXPECT_EQ(h.cha.t_return_iio, 0);
+  EXPECT_EQ(h.iio.t_to_cha, ns(41));
+  EXPECT_EQ(h.pcie_read_gb_per_s, 9.25);
+  EXPECT_TRUE(h.cha.ddio);
 }
 
 // Three receiver templates that differ only in congestion-control stack --
@@ -277,6 +410,21 @@ TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
   // memoizes.
   EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 3u);
   EXPECT_EQ(fork.cache.outcome_hits, 3u * 3u);
+}
+
+TEST(FleetRunner, ReportsTheWorkersThatRan) {
+  // run_parallel never runs more workers than jobs (shards), so neither
+  // does the report: 8 requested on a 1- and a 2-shard fleet.
+  const fleet::Scenario one = fleet::Scenario::parse(
+      "fleet one\nwarmup_us 5\nmeasure_us 10\ntemplate c\n  c2m a c2m_read\nend\nhosts 2 c\n");
+  EXPECT_EQ(run(one, 8, core::SweepMode::kFork).threads, 1u);
+  const fleet::Scenario two = fleet::Scenario::parse(
+      "fleet two\nwarmup_us 5\nmeasure_us 10\ntemplate c\n  c2m a c2m_read\nend\n"
+      "template d\n  set cha.ddio 1\n  c2m a c2m_read\nend\nhosts 1 c\nhosts 1 d\n");
+  const fleet::FleetReport r = run(two, 8, core::SweepMode::kFork);
+  EXPECT_EQ(r.shards, 2u);
+  EXPECT_EQ(r.threads, 2u);
+  EXPECT_EQ(run(two, 1, core::SweepMode::kFork).threads, 1u);
 }
 
 TEST(FleetRunner, SingleSidedHostsAreRegimeNone) {

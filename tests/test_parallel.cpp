@@ -77,6 +77,24 @@ TEST(RunParallel, ThreadsEnvOverride) {
   EXPECT_GE(parallel_threads(), 1u);
 }
 
+TEST(RunParallel, ThreadsEnvRejectsMalformedValues) {
+  // Each bad value must throw and name the variable; `abc` once ran on
+  // hardware concurrency and `2x` on 2 threads.
+  for (const char* bad : {"abc", "2x", "-4", "0", "", "+3", "1234567890"}) {
+    SCOPED_TRACE(std::string("HOSTNET_THREADS=") + bad);
+    ASSERT_EQ(setenv("HOSTNET_THREADS", bad, 1), 0);
+    try {
+      (void)parallel_threads();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("HOSTNET_THREADS"), std::string::npos) << e.what();
+    }
+  }
+  ASSERT_EQ(unsetenv("HOSTNET_THREADS"), 0);
+  EXPECT_EQ(parse_threads("16"), 16u);
+  EXPECT_EQ(parse_threads("999999999"), 999999999u);  // parsed, never spawned
+}
+
 TEST(RunParallel, RunsEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> hits(100);
   run_parallel(hits.size(), [&](std::size_t i) { ++hits[i]; }, 4);

@@ -2,7 +2,7 @@
 """hostnet-audit: field-level model auditor for the hostnet simulator.
 
 hostnet_lint.py answers "does this line look wrong?"; hostnet_audit.py
-answers three *whole-program* questions that line-oriented lint cannot
+answers four *whole-program* questions that line-oriented lint cannot
 (DESIGN.md section 4g):
 
   1. snapshot coverage -- for every class with a nested `Snapshot` struct,
@@ -34,6 +34,16 @@ answers three *whole-program* questions that line-oriented lint cannot
      mutable state or namespace-scope mutable variables: fork/replay runs
      the same handler from the same Snapshot twice and hidden state makes
      the replays diverge. `const`/`constexpr` data is fine.
+
+  4. config-table completeness -- every data member reachable from
+     HostConfig, C2MSpec or P2MSpec (through nested structs and
+     std::optional) must be visited by that root's visit_fields() table
+     (src/core/config_fields.hpp), which drives config_fingerprint(), the
+     fleet `set` overrides and the --json config echo. An unvisited member
+     would let two configs that differ only in it share a fingerprint. Each
+     entry's path literal must spell the member chain it visits
+     (v("mc.timing.t_wtr", c.mc.timing.t_wtr)), because the path is the
+     `set` key.
 
 The auditor also *generates* the per-class field manifest
 (`tools/snapshot_manifest.json`, checked in). A default tree run verifies
@@ -70,6 +80,10 @@ Checks (ids are stable; use them in suppressions):
                           subsystem
   handler-global-state    namespace-scope mutable variable in a handler
                           subsystem
+  config-unvisited        data member reachable from a config root that no
+                          visit_fields() entry visits
+  config-bad-path         visit_fields() path that does not spell the member
+                          chain of the field it visits
   manifest-drift          tools/snapshot_manifest.json does not match the
                           tree (run --write-manifest)
   stale-allow             an allow() that no longer suppresses anything
@@ -105,6 +119,10 @@ HANDLER_DIRS = ("src/sim", "src/cpu", "src/cha", "src/iio", "src/mc", "src/net")
 # src/flow owns the pool/registry implementation itself.
 POOL_EXEMPT_DIRS = ("src/flow",)
 
+# Config structs whose visit_fields() tables (src/core/config_fields.hpp) must
+# name every data member reachable from them.
+CONFIG_ROOTS = ("HostConfig", "C2MSpec", "P2MSpec")
+
 REFERENCE_SKIP_REASON = "reference member: construction-time wiring, not state"
 
 CHECKS = {
@@ -116,6 +134,8 @@ CHECKS = {
     "pool-unregistered": "by-value flow::CreditPool never registered in a DomainRegistry",
     "handler-static-state": "function-local static mutable state in a handler subsystem",
     "handler-global-state": "namespace-scope mutable variable in a handler subsystem",
+    "config-unvisited": "config data member with no visit_fields() entry",
+    "config-bad-path": "visit_fields() path that is not its member chain",
     "manifest-drift": "tools/snapshot_manifest.json is out of date",
     "stale-allow": "allow() directive that suppresses nothing",
     "bad-directive": "malformed hostnet-audit directive",
@@ -378,7 +398,9 @@ def parse_member(stmt):
     if not s or NON_MEMBER_KW_RE.search(s):
         return None
     if re.match(r"(?:class|struct|union|enum)\b", s):
-        return None
+        # `enum class Pattern {...} pattern = ...;` also declares a member.
+        m = re.match(r"\s*([A-Za-z_]\w*)\s*(?:=|$)", s[s.rfind("{}") + 2:]) if "{}" in s else None
+        return {"name": m.group(1), "is_ref": False, "is_pool": False, "type": ""} if m else None
     got = _decl_tail_name(s)
     if got is None:
         return None
@@ -393,7 +415,7 @@ def parse_member(stmt):
         and "*" not in pre_flat
         and "Snapshot" not in pre
     )
-    return {"name": name, "is_ref": is_ref, "is_pool": is_pool}
+    return {"name": name, "is_ref": is_ref, "is_pool": is_pool, "type": pre}
 
 
 # `restore(const Snapshot&)` is the composition-root spelling of load_state
@@ -405,6 +427,8 @@ ACCESSOR_RE = re.compile(
 REG_CALL_RE = re.compile(r"\badd(?:_interior)?\s*\(")
 REG_RECEIVER_RE = re.compile(r"(?:registr\w*|domains)\s*(?:\(\s*\))?\s*(?:\.|->)\s*$")
 STATIC_RE = re.compile(r"\b(?:static|thread_local)\b")
+VISIT_DEF_RE = re.compile(r"\bvoid\s+visit_fields\s*\(")
+VISIT_ENTRY_RE = re.compile(r'\b[A-Za-z_]\w*\s*\(\s*"')
 
 
 def word_in(name, body):
@@ -432,6 +456,7 @@ class FileModel:
         self.display = display_path
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
+        self.text = text
         self.raw_lines = text.splitlines()
         self.code = blank_preprocessor(strip_comments_and_strings(text))
         self.nl = [i for i, c in enumerate(self.code) if c == "\n"]
@@ -636,6 +661,27 @@ class FileModel:
             return None
         return got[0]
 
+    def config_tables(self):
+        """(head, [(line, path, member expression)]) per visit_fields()
+        definition. Paths are string literals, so they are read from the raw
+        text at the positions the blanked code keeps."""
+        def walk(scope):
+            for child in scope.children:
+                yield child
+                yield from walk(child)
+        for sc in walk(self.root):
+            head = self.code[sc.head_start:sc.open_pos]
+            if sc.kind != "block" or not VISIT_DEF_RE.search(head):
+                continue
+            entries = []
+            for m in VISIT_ENTRY_RE.finditer(self.code, sc.open_pos, sc.close_pos):
+                close = self.code.find('"', m.end())
+                expr = re.match(r'\s*,\s*([^,)]*)', self.code[close + 1:sc.close_pos])
+                path = self.text[m.end():close]
+                entries.append((self.line_of(m.start()), path,
+                                re.sub(r"\s+", "", expr.group(1)) if expr else ""))
+            yield head, entries
+
     def registered_ids(self):
         ids = set()
         for m in REG_CALL_RE.finditer(self.code):
@@ -742,6 +788,7 @@ class Auditor:
             self._audit_pools(model, registered)
             if path_in(model.display, HANDLER_DIRS):
                 self._audit_purity(model)
+        self._audit_config_fields()
         self._audit_stale_allows()
         self.findings.sort(key=lambda f: (f.path, f.line, f.check))
         return audited
@@ -836,6 +883,60 @@ class Auditor:
                         f"namespace-scope mutable variable '{name}' in a handler "
                         "subsystem; fork/replay would diverge -- make it a "
                         "component member (snapshotted) or const/constexpr")
+
+    def _audit_config_fields(self):
+        structs = {}
+        for model in self.models:
+            for cls in model.classes:
+                structs.setdefault(cls["name"], cls)
+
+        def struct_of(member):
+            """The config struct a member holds (through std::optional), if any."""
+            for ident in re.findall(r"[A-Za-z_]\w*", member["type"]):
+                if ident in structs and structs[ident]["members"]:
+                    return structs[ident]
+            return None
+
+        def resolves(cls, path):
+            for seg in path.split("."):
+                m = next((m for m in cls["members"] if m["name"] == seg), None) if cls else None
+                if m is None:
+                    return False
+                cls = struct_of(m)
+            return cls is None
+
+        tables = {}
+        for model in self.models:
+            for head, entries in model.config_tables():
+                root = next((r for r in CONFIG_ROOTS if word_in(r, head)), None)
+                if root is None:
+                    continue
+                paths = tables.setdefault(root, set())
+                for line, path, expr in entries:
+                    paths.add(path)
+                    chain = re.sub(r"^[*(]*[A-Za-z_]\w*\.", "", expr.replace("->", "."))
+                    if chain != path or root not in structs \
+                            or not resolves(structs[root], path):
+                        self.report(model, line, "config-bad-path",
+                                    f"visit_fields path '{path}' must spell the {root} "
+                                    f"member chain of the field it visits ('{expr}')")
+
+        def walk(root, cls, prefix, stack):
+            for m in cls["members"]:
+                path = prefix + m["name"]
+                sub = struct_of(m)
+                if sub is not None and sub["qual"] not in stack:
+                    walk(root, sub, path + ".", stack | {sub["qual"]})
+                elif path not in tables.get(root, ()):
+                    self.report(cls["model"], m["line"], "config-unvisited",
+                                f"'{cls['qual']}::{m['name']}' is reachable from {root} as "
+                                f"'{path}' but no visit_fields() entry visits it, so "
+                                "config_fingerprint() would alias configs that differ "
+                                "only in it")
+
+        for root in CONFIG_ROOTS:
+            if root in structs:
+                walk(root, structs[root], "", {structs[root]["qual"]})
 
     def _audit_stale_allows(self):
         for model in self.models:

@@ -9,10 +9,14 @@
 // forks/memoizes every replica; `--mode cold` re-warms every window (the
 // reference path; reports are bit-identical either way). Exit status: 0 on
 // success, 2 on usage/parse errors.
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
+#include "core/config_fields.hpp"
+#include "core/parallel.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/scenario.hpp"
 
@@ -30,16 +34,53 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// `--threads` takes a positive decimal integer (at most 9 digits), nothing
-/// else: no sign, no suffix. Returns 0 when `s` is not one.
-unsigned parse_threads(const std::string& s) {
-  if (s.empty() || s.size() > 9 || s.find_first_not_of("0123456789") != std::string::npos)
-    return 0;
-  return static_cast<unsigned>(std::stoul(s));
+/// `s` as a JSON string literal: quotes, backslashes and control characters
+/// escaped.
+std::string json_str(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
+/// Shortest text that reads back as exactly `v`.
+std::string json_num(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// The template's host config, one "path": value line per visit_fields leaf
+/// (Tick fields in ns, enums as their number) -- the keys `set` accepts.
+void print_config(const core::HostConfig& host) {
+  const char* sep = "";
+  core::visit_fields(host, [&](std::string_view path, const auto& f,
+                               core::FieldUnit unit = core::FieldUnit::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    std::string value;
+    if constexpr (std::is_same_v<F, std::string>) value = json_str(f);
+    else if constexpr (std::is_same_v<F, bool>) value = f ? "true" : "false";
+    else if constexpr (std::is_enum_v<F>) value = std::to_string(static_cast<int>(f));
+    else if constexpr (std::is_floating_point_v<F>) value = json_num(f);
+    else if (unit == core::FieldUnit::kNs) value = json_num(to_ns(f));
+    else value = std::to_string(f);
+    std::printf("%s\n        \"%.*s\": %s", sep, static_cast<int>(path.size()), path.data(),
+                value.c_str());
+    sep = ",";
+  });
 }
 
 void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
-  std::printf("{\n  \"scenario\": \"%s\",\n  \"hosts\": %llu,\n", r.scenario.c_str(),
+  std::printf("{\n  \"scenario\": %s,\n  \"hosts\": %llu,\n", json_str(r.scenario).c_str(),
               static_cast<unsigned long long>(r.hosts));
   std::printf("  \"fingerprints\": %zu,\n  \"shards\": %zu,\n  \"threads\": %u,\n",
               r.fingerprints, r.shards, r.threads);
@@ -53,14 +94,22 @@ void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
               static_cast<unsigned long long>(r.cache.checkpoint_misses),
               static_cast<unsigned long long>(r.cache.outcome_hits),
               static_cast<unsigned long long>(r.cache.outcome_misses));
-  std::printf("  \"tenants\": [\n");
+  std::printf("  \"templates\": [\n");
+  for (std::size_t i = 0; i < sc.templates().size(); ++i) {
+    const fleet::HostTemplate& t = sc.templates()[i];
+    std::printf("    {\"name\": %s, \"preset\": %s, \"config\": {", json_str(t.name).c_str(),
+                json_str(t.preset).c_str());
+    print_config(t.host);
+    std::printf("\n      }}%s\n", i + 1 < sc.templates().size() ? "," : "");
+  }
+  std::printf("  ],\n  \"tenants\": [\n");
   for (std::size_t i = 0; i < sc.tenants().size(); ++i) {
     const fleet::TenantAggregate& a = r.agg.tenants[i];
     const double n = a.placements ? static_cast<double>(a.placements) : 1.0;
-    std::printf("    {\"name\": \"%s\", \"placements\": %llu, \"mean_score\": %.6g, "
+    std::printf("    {\"name\": %s, \"placements\": %llu, \"mean_score\": %.6g, "
                 "\"mean_degradation\": %.6g, \"latency_ns\": {\"p50\": %.6g, \"p99\": %.6g, "
                 "\"p999\": %.6g}}%s\n",
-                sc.tenants()[i].c_str(), static_cast<unsigned long long>(a.placements),
+                json_str(sc.tenants()[i]).c_str(), static_cast<unsigned long long>(a.placements),
                 a.colo_score_sum / n, a.mean_degradation(), a.latency.p50(), a.latency.p99(),
                 a.latency.p999(), i + 1 < sc.tenants().size() ? "," : "");
   }
@@ -76,7 +125,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = parse_threads(argv[++i]);
+      opt.threads = core::parse_threads(argv[++i]);
       if (opt.threads == 0) return usage(argv[0]);
     } else if (arg == "--mode" && i + 1 < argc) {
       const std::string m = argv[++i];
